@@ -15,12 +15,12 @@ oscillator frequency w2, with ZRat values:
 
     terms : (m, alpha, beta, gamma) -> ZRat     # r^m a^alpha b^beta w2^gamma
 
-The three dihedral actions and the angular derivation act on both levels:
+The dihedral actions and the angular derivation are methods on both levels:
 
-    d_phi(f)   = i z f'(z)          (d/dphi through z = e^{i phi})
-    rotate(f)  = f(rho z)           (phi -> phi + pi/k)
-    reflect(f) = f(1/z)             (phi -> -phi)
-    conj_coeff = scalar conjugation together with z -> 1/z
+    f.d_phi()     = i z f'(z)          (d/dphi through z = e^{i phi})
+    f.rotate_n(n) = f(rho^n z)         (phi -> phi + n pi/k)
+    f.reflect()   = f(1/z)             (phi -> -phi)
+    f.conj()      = scalar conjugation together with z -> 1/z
 """
 
 from __future__ import annotations
@@ -660,24 +660,6 @@ def cot_k(ctx: FieldCtx) -> ZRat:
         cached = trig(ctx, "tan_k").inv()
         ctx.trig_cache[key] = cached
     return cached
-
-
-# module-level action helpers (accept ZRat or Coefficient)
-
-def d_phi(f):
-    return f.d_phi()
-
-
-def rotate(f, n: int = 1):
-    return f.rotate_n(n)
-
-
-def reflect(f):
-    return f.reflect()
-
-
-def conj_coeff(f):
-    return f.conj()
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,7 @@ class FieldCtx:
     """
 
     def __init__(self, k: int, max_k: int | None = None):
-        if not isinstance(k, int) or k < 1:
-            raise FieldError(f"k must be a positive integer, got {k!r}")
-        if max_k is None:
-            max_k = max_k_ceiling()
-        if k > max_k:
-            raise FieldError(
-                f"k={k} exceeds the configured ceiling max_k={max_k}"
-            )
+        _check_k(k, max_k)
         self.k = k
         self.N = math.lcm(4, 2 * k)
         phi = cyclotomic_poly(self.N)
@@ -193,7 +186,9 @@ class FieldCtx:
         self._zero = CycloScalar(self, (0,) * self.deg)
         self._one = CycloScalar(self, powers[0])
 
-        # shared memo tables used by the coefficient ring / oracle layers
+        # shared memo tables used by the coefficient ring; the oracle keeps
+        # its numbers on each batch, so oracle_cache stays empty (perfbench
+        # reports its size)
         self.trig_cache: dict = {}
         self.atom_poly_cache: dict = {}
         self.oracle_cache: dict = {}
@@ -243,10 +238,34 @@ class FieldCtx:
         return f"FieldCtx(k={self.k}, N={self.N}, deg={self.deg})"
 
 
-@functools.lru_cache(maxsize=None)
+def _check_k(k, max_k: int | None) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise FieldError(f"k must be a positive integer, got {k!r}")
+    if max_k is None:
+        max_k = max_k_ceiling()
+    if k > max_k:
+        raise FieldError(
+            f"k={k} exceeds the configured ceiling max_k={max_k}"
+        )
+
+
 def ctx_new(k: int, max_k: int | None = None) -> FieldCtx:
-    """Create (or fetch the cached) field context for dihedral index k."""
-    return FieldCtx(k, max_k)
+    """Create (or fetch the cached) field context for dihedral index k.
+
+    The ceiling ``max_k`` (default: ``max_k_ceiling()``) is checked on every
+    call; the context itself is cached by k alone, so every caller at the
+    same k shares one context.
+
+    >>> ctx_new(3, 20) is ctx_new(3)
+    True
+    """
+    _check_k(k, max_k)
+    return _ctx_cached(k)
+
+
+@functools.lru_cache(maxsize=None)
+def _ctx_cached(k: int) -> FieldCtx:
+    return FieldCtx(k, max_k=k)
 
 
 def _coord(c):

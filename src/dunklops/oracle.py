@@ -1,29 +1,40 @@
 """Independent numeric witness for operator identities.
 
-The engine applies operators analytically to the closed family
+The engine applies operators to the closed family
 
     f(r, phi) = r^s * exp(c r^2) * P(z),      z = e^{i phi},
 
-where P is a Laurent polynomial with complex coefficients.  Every generator
-maps a weighted sum of such functions to another one: d/dr raises or lowers
-s and mixes in the Gaussian exponent, d/dphi acts as i z d/dz on P, the
-rotation scales z by e^{i pi / k}, the reflection inverts z, and a
-coefficient multiplies the weight.  The weight of a term is a rational
-function of z times a monomial in the parameters a, b, w2; it is evaluated
-numerically only at the very end.  No normal ordering or operator product
-is ever performed here, so agreement with the symbolic engine is a genuine
-second witness.
+where P is a Laurent polynomial with complex coefficients, and evaluates the
+result at sample points.  A function in the engine is a sum over d of
 
-Two layers share the same calculus rules:
+    r^(s + d) * exp(c r^2) * A_d(phi),
 
-- ``TestFunc`` / ``TestFuncSum`` / ``apply``: a readable scalar
-  implementation, one function and one sample point at a time.
-- ``numeric_check`` / ``numeric_check_spec``: a batched engine evaluating
-  all trials as numpy columns; this is what the verification suite's
-  numeric shadow uses.
+and each angular factor A_d is held as numbers: its phi-jet, the derivatives
+of orders 0..J, at the 4k images sigma*phi + n*pi/k (sigma = +-1,
+n = 0..2k-1) of the sample angle under the dihedral group.  J is the total
+d/dphi order of the operator chain being applied.  On that table
+
+- R^a rolls the image axis, and I maps (sigma, n) to (-sigma, -n) with the
+  sign (-1)^m on jet order m;
+- d/dphi shifts the jet down one order;
+- d/dr moves weight between the radial powers s + d - 1 and s + d + 1;
+- a coefficient u(z) r^m a^alpha b^beta w2^gamma multiplies by the
+  truncated Leibniz product with the jet of u, shifts d by m and scales by
+  the parameter values.
+
+The jet of u is computed once per batch from its numerator and from each
+denominator atom (z, z - zeta^t, z^2 - zeta^t) separately, with zeta^t
+embedded as a complex number.  No exact ring operation, normal ordering or
+operator product runs here, so a defect in the exact engine cannot reach
+this witness.
+
+``numeric_check`` / ``numeric_check_spec`` evaluate all trials as numpy
+columns; this is what the verification suite's numeric shadow uses.
+``TestFunc`` / ``TestFuncSum`` / ``apply`` are the same engine on one test
+function at one point.
 
 >>> ctx = ctx_new(3)
->>> f = TestFunc(s=1, c=RAT(-1, 2), P={2: 1.0 + 0j})
+>>> f = TestFunc(s=1, c=-0.5, P={2: 1.0 + 0j})
 >>> g = apply(op_dphi(ctx), f)                      # i z d/dz doubles ... x2i
 >>> pt = SamplePoint(r=1.3, phi=0.21, a_val=0.7, b_val=1.1, w2_val=2.0)
 >>> abs(g.value(pt) - 2j * f_value(f, pt)) < 1e-12
@@ -37,8 +48,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._rat import RAT
-from .coeffring import Coefficient, ZRat
+from .coeffring import ATOM_Z
 from .cyclofield import FieldCtx, ctx_new
 from .errors import OracleError
 from .opalgebra import OpExpr, op_dphi
@@ -87,116 +97,37 @@ def f_value(f: TestFunc, pt: SamplePoint) -> complex:
 
 
 class TestFuncSum:
-    """A finite weighted sum of TestFunc.
-
-    Each term carries a weight that is a rational function of z times a
-    monomial a^alpha * b^beta * w2^gamma; weights stay symbolic until
-    ``value`` is called.
-    """
+    """A chain of operators applied to one TestFunc: a finite weighted sum
+    of family members, evaluated at a point by ``value``."""
 
     __test__ = False                # not a pytest item, despite the name
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "f", "chain")
 
-    def __init__(self, ctx: FieldCtx, terms: list):
-        # terms: list of (w: ZRat, (alpha, beta, gamma), TestFunc)
+    def __init__(self, ctx: FieldCtx, f: TestFunc, chain: tuple = ()):
         self.ctx = ctx
-        self.terms = terms
+        self.f = f
+        self.chain = chain          # leftmost factor acts last
 
     @staticmethod
     def lift(ctx: FieldCtx, f: TestFunc) -> "TestFuncSum":
-        return TestFuncSum(ctx, [(ZRat.const(ctx, 1), (0, 0, 0), f)])
+        return TestFuncSum(ctx, f)
 
     def value(self, pt: SamplePoint) -> complex:
-        z = complex(math.cos(pt.phi), math.sin(pt.phi))
-        total = 0j
-        for w, (al, be, ga), f in self.terms:
-            weight = (w.eval(z) * pt.a_val ** al * pt.b_val ** be
-                      * pt.w2_val ** ga)
-            total += weight * f_value(f, pt)
-        return total
-
-    def _merged(self) -> "TestFuncSum":
-        by_key: dict = {}
-        for w, pexp, f in self.terms:
-            key = (w, pexp, f.s, f.c)
-            tgt = by_key.setdefault(key, {})
-            for j, coeff in f.P.items():
-                tgt[j] = tgt.get(j, 0j) + coeff
-        terms = [(w, pexp, TestFunc(s, c, {j: v for j, v in P.items() if v}))
-                 for (w, pexp, s, c), P in by_key.items()]
-        return TestFuncSum(self.ctx, [t for t in terms if t[2].P])
+        batch = _Batch.single(self.ctx, _jet_order(self.chain), self.f, pt)
+        return complex(_chain_value(1, self.chain, batch)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TestFuncSum({len(self.terms)} terms)"
-
-
-def _scalar_reflect(ctx, terms):
-    return [(w.reflect(), pexp, TestFunc(f.s, f.c,
-                                         {-j: v for j, v in f.P.items()}))
-            for w, pexp, f in terms]
-
-
-def _scalar_rotate(ctx, terms, n):
-    out = []
-    for w, pexp, f in terms:
-        P = {j: v * complex(math.cos(math.pi * n * j / ctx.k),
-                            math.sin(math.pi * n * j / ctx.k))
-             for j, v in f.P.items()}
-        out.append((w.rotate_n(n), pexp, TestFunc(f.s, f.c, P)))
-    return out
-
-
-def _scalar_dphi(ctx, terms):
-    out = []
-    for w, pexp, f in terms:
-        wp = w.d_phi()
-        if not wp.is_zero():
-            out.append((wp, pexp, f))
-        P = {j: 1j * j * v for j, v in f.P.items() if j}
-        if P:
-            out.append((w, pexp, TestFunc(f.s, f.c, P)))
-    return out
-
-
-def _scalar_dr(ctx, terms):
-    out = []
-    for w, pexp, f in terms:
-        if f.s:
-            out.append((w, pexp,
-                        TestFunc(f.s - 1, f.c,
-                                 {j: f.s * v for j, v in f.P.items()})))
-        two_c = 2 * float(f.c)
-        out.append((w, pexp,
-                    TestFunc(f.s + 1, f.c,
-                             {j: two_c * v for j, v in f.P.items()})))
-    return out
+        return f"TestFuncSum({len(self.chain)} operators)"
 
 
 def apply(op: OpExpr, f) -> TestFuncSum:
-    """Apply a normal-ordered operator to a TestFunc (or sum) analytically."""
-    ctx = op.ctx
+    """Apply an operator to a TestFunc (or to an earlier result)."""
     if isinstance(f, TestFunc):
-        f = TestFuncSum.lift(ctx, f)
-    result: list = []
-    for (p, q, i, e), coeff in op.items():
-        terms = f.terms
-        if e:
-            terms = _scalar_reflect(ctx, terms)
-        if i:
-            terms = _scalar_rotate(ctx, terms, i)
-        for _ in range(q):
-            terms = _scalar_dphi(ctx, terms)
-        for _ in range(p):
-            terms = _scalar_dr(ctx, terms)
-        for (m, al, be, ga), u in coeff.items():
-            for w, (a0, b0, g0), g in terms:
-                wu = w * u
-                if wu.is_zero():
-                    continue
-                result.append((wu, (a0 + al, b0 + be, g0 + ga),
-                               TestFunc(g.s + m, g.c, dict(g.P))))
-    return TestFuncSum(ctx, result)._merged()
+        f = TestFuncSum.lift(op.ctx, f)
+    if f.ctx is not op.ctx:
+        raise OracleError("operator and function live in different contexts")
+    return TestFuncSum(op.ctx, f.f, (op,) + f.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -240,50 +171,109 @@ def random_sample_point(rng, k: int, margin: float = _MARGIN) -> SamplePoint:
 
 
 # ---------------------------------------------------------------------------
-# batched engine
+# batched jet engine
 # ---------------------------------------------------------------------------
+# A jet is a complex array [2, 2k, L, T]: sign sigma (index 0 for +1, 1 for
+# -1), image n, derivative order m < L, trial.  A weight that does not
+# depend on phi is a complex number or an array [T] instead.
+
+
+def _leibniz(u, a):
+    """The jet of u * a, to the orders a carries: (u a)^(j) is the sum over
+    i of C(j, i) u^(i) a^(j - i)."""
+    out = np.empty(a.shape, complex)
+    for j in range(a.shape[2]):
+        acc = u[:, :, 0] * a[:, :, j]
+        for i in range(1, j + 1):
+            acc += math.comb(j, i) * (u[:, :, i] * a[:, :, j - i])
+        out[:, :, j] = acc
+    return out
+
+
+def _times(w, a):
+    """A weight (jet or phi-constant) times a jet."""
+    if isinstance(w, np.ndarray) and w.ndim == 4:
+        return _leibniz(w, a)
+    return w * a
+
+
+def _plus(x, y):
+    """Sum of two weights, either of which may be phi-constant."""
+    x_jet = isinstance(x, np.ndarray) and x.ndim == 4
+    y_jet = isinstance(y, np.ndarray) and y.ndim == 4
+    if x_jet == y_jet:
+        return x + y
+    if y_jet:
+        x, y = y, x
+    out = x.copy()
+    out[:, :, 0] += y
+    return out
+
+
+def _jet_order(chain) -> int:
+    """The jet order a chain needs: its total d/dphi order."""
+    return sum(op.max_orders()[1] for op in chain)
 
 
 class _Batch:
     """One column per trial: the test function data (s, c, P), the sample
-    point (r, phi, a, b, w2) and derived caches."""
+    point (r, phi, a, b, w2), and the jets computed from them, up to order
+    J.  The jets live only as long as the batch's columns stay unchanged."""
 
-    __slots__ = ("T", "s", "c", "P", "r", "phi", "z", "a", "b", "w2",
-                 "_zpow", "_ppow", "_wval", "_gauss")
+    __slots__ = ("ctx", "J", "T", "s", "c", "P", "r", "phi", "a", "b", "w2",
+                 "_x", "_zpow", "_jets", "_weights", "_ppow")
 
-    def __init__(self, rng, T: int, k: int, invariant: bool):
-        self.T = T
-        self.s = rng.integers(0, 4, T)
-        self.c = -rng.uniform(0.3, 1.2, T)
+    def __init__(self, ctx: FieldCtx, J: int, s, c, P: dict, r, phi, a, b,
+                 w2):
+        self.ctx, self.J, self.T = ctx, J, len(s)
+        self.s, self.c, self.P = s, c, P
+        self.r, self.phi, self.a, self.b, self.w2 = r, phi, a, b, w2
+        self._refresh()
+
+    @classmethod
+    def draw(cls, rng, T: int, ctx: FieldCtx, J: int, invariant: bool):
+        k = ctx.k
+        s = rng.integers(0, 4, T)
+        c = -rng.uniform(0.3, 1.2, T)
         if invariant:
             p0 = rng.uniform(-1, 1, T) + 1j * rng.uniform(-1, 1, T)
             p1 = rng.uniform(-1, 1, T) + 1j * rng.uniform(-1, 1, T)
-            self.P = {0: p0, 2 * k: p1, -2 * k: p1.copy()}
+            P = {0: p0, 2 * k: p1, -2 * k: p1.copy()}
         else:
-            self.P = {j: rng.uniform(-1, 1, T) + 1j * rng.uniform(-1, 1, T)
-                      for j in _GENERIC_SLOTS}
-        self.phi = rng.uniform(0.0, math.pi / (2 * k), T)
+            P = {j: rng.uniform(-1, 1, T) + 1j * rng.uniform(-1, 1, T)
+                 for j in _GENERIC_SLOTS}
+        phi = rng.uniform(0.0, math.pi / (2 * k), T)
         for _ in range(_MAX_ROUNDS):
-            bad = ((np.abs(np.sin(k * self.phi)) < _MARGIN)
-                   | (np.abs(np.cos(k * self.phi)) < _MARGIN))
+            bad = ((np.abs(np.sin(k * phi)) < _MARGIN)
+                   | (np.abs(np.cos(k * phi)) < _MARGIN))
             n_bad = int(bad.sum())
             if not n_bad:
                 break
-            self.phi[bad] = rng.uniform(0.0, math.pi / (2 * k), n_bad)
+            phi[bad] = rng.uniform(0.0, math.pi / (2 * k), n_bad)
         else:  # pragma: no cover - acceptance ratio is ~0.94 per draw
             raise OracleError("could not draw sample angles inside the margin")
-        self.r = rng.uniform(0.6, 2.5, T)
-        self.a = rng.uniform(0.5, 3.0, T)
-        self.b = rng.uniform(0.5, 3.0, T)
-        self.w2 = rng.uniform(0.5, 3.0, T)
-        self._refresh()
+        return cls(ctx, J, s, c, P, r=rng.uniform(0.6, 2.5, T), phi=phi,
+                   a=rng.uniform(0.5, 3.0, T), b=rng.uniform(0.5, 3.0, T),
+                   w2=rng.uniform(0.5, 3.0, T))
+
+    @classmethod
+    def single(cls, ctx: FieldCtx, J: int, f: TestFunc, pt: SamplePoint):
+        """The batch of one trial: ``f`` at ``pt``."""
+        col = np.atleast_1d
+        return cls(ctx, J, col(f.s), col(float(f.c)),
+                   {j: col(complex(v)) for j, v in f.P.items()},
+                   col(pt.r), col(pt.phi), col(pt.a_val), col(pt.b_val),
+                   col(pt.w2_val))
 
     def _refresh(self):
-        self.z = np.exp(1j * self.phi)
-        self._zpow = {0: np.ones(self.T, complex), 1: self.z}
+        k = self.ctx.k
+        sigma = np.array([1.0, -1.0])[:, None, None]
+        shift = (np.arange(2 * k) * (math.pi / k))[None, :, None]
+        self._x = sigma * self.phi + shift                  # [2, 2k, T]
+        self._zpow = {}
+        self._jets = {}
+        self._weights = {}
         self._ppow = {}
-        self._wval = {}
-        self._gauss = np.exp(self.c * self.r ** 2)
 
     def splice(self, idx, other: "_Batch"):
         """Replace the columns ``idx`` with the columns of ``other``."""
@@ -296,10 +286,10 @@ class _Batch:
         self._refresh()
 
     def zpow(self, j: int):
+        """z^j = e^{i j x} at every image x."""
         arr = self._zpow.get(j)
         if arr is None:
-            arr = self.z ** j
-            self._zpow[j] = arr
+            arr = self._zpow[j] = np.exp(1j * j * self._x)
         return arr
 
     def ppow(self, al: int, be: int, ga: int):
@@ -308,120 +298,133 @@ class _Batch:
         key = (al, be, ga)
         arr = self._ppow.get(key)
         if arr is None:
-            arr = self.a ** al * self.b ** be * self.w2 ** ga
-            self._ppow[key] = arr
+            arr = self._ppow[key] = self.a ** al * self.b ** be * self.w2 ** ga
         return arr
 
-    def wval(self, w: ZRat):
-        arr = self._wval.get(w)
-        if arr is None:
-            arr = w.eval(self.z)
-            self._wval[w] = arr
-        return arr
+    def _fourier_jet(self, coeffs: dict):
+        """The jet of sum_j coeffs[j] z^j, coefficients numbers or [T]."""
+        orders = np.arange(self.J + 1)[:, None, None, None]
+        out = np.zeros((self.J + 1,) + self._x.shape, complex)
+        for j, cj in coeffs.items():
+            out += (1j * j) ** orders * (cj * self.zpow(j))
+        return np.ascontiguousarray(np.moveaxis(out, 0, 2))
+
+    def initial(self):
+        """The jet of P, the angular factor of the test functions."""
+        jet = self._jets.get("P")
+        if jet is None:
+            jet = self._jets["P"] = self._fourier_jet(self.P)
+        return jet
+
+    def _atom_inverse(self, atom):
+        """The jet of 1 / atom: z^-1, 1 / (z - zeta^t) or 1 / (z^2 - zeta^t)."""
+        key = ("atom", atom)
+        q = self._jets.get(key)
+        if q is not None:
+            return q
+        if atom == ATOM_Z:
+            q = self._fourier_jet({-1: 1.0})
+        else:
+            deg = 2 if atom[0] == "quad" else 1
+            zd = self.zpow(deg)
+            q = np.empty((2, 2 * self.ctx.k, self.J + 1, self.T), complex)
+            q0 = 1.0 / (zd - self.ctx.unit_embed(atom[1]))
+            q[:, :, 0] = q0
+            # (atom * q)^(m) = 0 for m >= 1, with atom^(i) = (i deg)^i z^deg
+            for m in range(1, self.J + 1):
+                acc = 0
+                for i in range(1, m + 1):
+                    acc = acc + (math.comb(m, i) * (1j * deg) ** i) \
+                        * q[:, :, m - i]
+                q[:, :, m] = -q0 * zd * acc
+        self._jets[key] = q
+        return q
+
+    def coefficient(self, u):
+        """The jet of a ZRat, or its value if it does not depend on phi."""
+        if not u.den and len(u.num) <= 1:
+            return complex(u.num[0]) if u.num else 0j
+        jet = self._jets.get(u)
+        if jet is None:
+            jet = self._fourier_jet({j: complex(c) for j, c in enumerate(u.num)
+                                     if not c.is_zero()})
+            if u.den:
+                jet = _leibniz(self._denominator(u.den), jet)
+            self._jets[u] = jet
+        return jet
+
+    def _denominator(self, den: tuple):
+        """The jet of 1 / den, multiplied together atom by atom (expanding
+        the product first would lose precision)."""
+        key = ("den", den)
+        jet = self._jets.get(key)
+        if jet is None:
+            for atom, mult in den:
+                for _ in range(mult):
+                    q = self._atom_inverse(atom)
+                    jet = q if jet is None else _leibniz(q, jet)
+            self._jets[key] = jet
+        return jet
+
+    def weights(self, coeff) -> dict:
+        """m -> the weight of r^m in a Coefficient, its a, b, w2 monomials
+        summed at the sampled parameter values."""
+        out = self._weights.get(coeff)
+        if out is None:
+            out = {}
+            for (m, al, be, ga), u in coeff.terms.items():
+                part = self.coefficient(u)
+                fac = self.ppow(al, be, ga)
+                if fac is not None:
+                    part = part * fac
+                out[m] = part if m not in out else _plus(out[m], part)
+            self._weights[coeff] = out
+        return out
 
 
-def _cached_zr(ctx, key, thunk) -> ZRat:
-    cache = ctx.oracle_cache
-    val = cache.get(key)
-    if val is None:
-        val = thunk()
-        cache[key] = val
-    return val
+def _add(out: dict, d: int, jet):
+    cur = out.get(d)
+    out[d] = jet if cur is None else cur + jet
 
 
-def _merge(out: dict, key, P: dict):
-    tgt = out.get(key)
-    if tgt is None:
-        out[key] = dict(P)
-        return
-    for j, arr in P.items():
-        cur = tgt.get(j)
-        tgt[j] = arr if cur is None else cur + arr
-
-
-def _refl_state(ctx, state):
-    out: dict = {}
-    for (w, d), P in state.items():
-        wr = _cached_zr(ctx, ("refl", w), w.reflect)
-        _merge(out, (wr, d), {-j: arr for j, arr in P.items()})
-    return out
-
-
-def _rot_state(ctx, state, n: int):
-    out: dict = {}
-    k = ctx.k
-    for (w, d), P in state.items():
-        wr = _cached_zr(ctx, ("rot", n, w), lambda w=w: w.rotate_n(n))
-        phase = {j: complex(math.cos(math.pi * n * j / k),
-                            math.sin(math.pi * n * j / k))
-                 for j in P}
-        _merge(out, (wr, d), {j: arr * phase[j] for j, arr in P.items()})
-    return out
-
-
-def _dphi_state(ctx, state):
-    out: dict = {}
-    for (w, d), P in state.items():
-        wp = _cached_zr(ctx, ("dphi", w), w.d_phi)
-        if not wp.is_zero():
-            _merge(out, (wp, d), P)
-        dP = {j: (1j * j) * arr for j, arr in P.items() if j}
-        if dP:
-            _merge(out, (w, d), dP)
-    return out
-
-
-def _dr_state(ctx, state, batch: _Batch):
-    out: dict = {}
-    two_c = 2.0 * batch.c
-    for (w, d), P in state.items():
-        s_eff = batch.s + d
-        _merge(out, (w, d - 1), {j: s_eff * arr for j, arr in P.items()})
-        _merge(out, (w, d + 1), {j: two_c * arr for j, arr in P.items()})
-    return out
-
-
-def _apply_state(ctx, state, op: OpExpr, batch: _Batch):
+def _apply(op: OpExpr, state: dict, L: int, batch: _Batch) -> dict:
+    """Apply ``op`` to a state d -> jet of L orders; the result carries
+    L - (the highest d/dphi order of op) orders."""
+    k2 = 2 * batch.ctx.k
+    L_out = L - op.max_orders()[1]
+    neg = (-np.arange(k2)) % k2
     out: dict = {}
     for (p, q, i, e), coeff in op.terms.items():
-        st = state
-        if e:
-            st = _refl_state(ctx, st)
-        if i:
-            st = _rot_state(ctx, st, i)
-        for _ in range(q):
-            st = _dphi_state(ctx, st)
-        for _ in range(p):
-            st = _dr_state(ctx, st, batch)
-        for (m, al, be, ga), u in coeff.terms.items():
-            fac = batch.ppow(al, be, ga)
-            for (w, d), P in st.items():
-                wu = _cached_zr(ctx, ("mul", w, u), lambda w=w, u=u: w * u)
-                if wu.is_zero():
-                    continue
-                if fac is None:
-                    _merge(out, (wu, d + m), P)
-                else:
-                    _merge(out, (wu, d + m),
-                           {j: arr * fac for j, arr in P.items()})
+        st = {d: jet[:, :, :L_out + q] for d, jet in state.items()}
+        if e:                        # (I A)^(m)(x) = (-1)^m A^(m)(-x)
+            sign = (-1.0) ** np.arange(L_out + q)[:, None]
+            st = {d: jet[::-1][:, neg] * sign for d, jet in st.items()}
+        if i:                        # (R^i A)(x) = A(x + i pi/k)
+            st = {d: np.roll(jet, -i, axis=1) for d, jet in st.items()}
+        if q:
+            st = {d: jet[:, :, q:] for d, jet in st.items()}
+        for _ in range(p):           # d/dr of r^(s+d) exp(c r^2)
+            nxt: dict = {}
+            for d, jet in st.items():
+                _add(nxt, d - 1, (batch.s + d) * jet)
+                _add(nxt, d + 1, (2.0 * batch.c) * jet)
+            st = nxt
+        for m, w in batch.weights(coeff).items():
+            for d, jet in st.items():
+                _add(out, d + m, _times(w, jet))
     return out
 
 
-def _eval_state(ctx, state, batch: _Batch):
-    total = np.zeros(batch.T, complex)
-    for (w, d), P in state.items():
-        poly = np.zeros(batch.T, complex)
-        for j, arr in P.items():
-            poly += arr * batch.zpow(j)
-        total += batch.wval(w) * batch.r ** (batch.s + d) * poly
-    return total * batch._gauss
-
-
-def _chain_value(ctx, weight: int, chain, batch: _Batch):
-    state = {(ZRat.const(ctx, 1), 0): dict(batch.P)}
+def _chain_value(weight: int, chain, batch: _Batch):
+    L = _jet_order(chain) + 1
+    state = {0: batch.initial()[:, :, :L]}
     for op in reversed(chain):       # rightmost factor acts first
-        state = _apply_state(ctx, state, op, batch)
-    return weight * _eval_state(ctx, state, batch)
+        state = _apply(op, state, L, batch)
+        L -= op.max_orders()[1]
+    total = np.zeros(batch.T, complex)
+    for d, jet in state.items():
+        total += jet[0, 0, 0] * batch.r ** (batch.s + d)
+    return weight * total * np.exp(batch.c * batch.r ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +458,11 @@ def _finish(lhs_tot, rhs_tot, scale, trials, tol, seed) -> OracleReport:
 
 def _run_ops(ctx, lhs, rhs, trials, tol, seed, invariant) -> OracleReport:
     rng = np.random.default_rng(seed)
-    k = ctx.k
-    batch = _Batch(rng, trials, k, invariant)
+    J = max((_jet_order(chain) for _, chain in [*lhs, *rhs]), default=0)
+    batch = _Batch.draw(rng, trials, ctx, J, invariant)
     for _ in range(_MAX_ROUNDS):
-        parts_l = [_chain_value(ctx, wgt, chain, batch) for wgt, chain in lhs]
-        parts_r = [_chain_value(ctx, wgt, chain, batch) for wgt, chain in rhs]
+        parts_l = [_chain_value(wgt, chain, batch) for wgt, chain in lhs]
+        parts_r = [_chain_value(wgt, chain, batch) for wgt, chain in rhs]
         scale = np.zeros(batch.T)
         for part in parts_l + parts_r:
             scale = np.maximum(scale, np.abs(part))
@@ -467,7 +470,7 @@ def _run_ops(ctx, lhs, rhs, trials, tol, seed, invariant) -> OracleReport:
         n_bad = int(bad.sum())
         if not n_bad:
             break
-        batch.splice(bad, _Batch(rng, n_bad, k, invariant))
+        batch.splice(bad, _Batch.draw(rng, n_bad, ctx, J, invariant))
     else:
         raise OracleError("sample kept degenerating after redraws")
     lhs_tot = sum(parts_l, np.zeros(batch.T, complex))

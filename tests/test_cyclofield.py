@@ -74,6 +74,25 @@ def test_max_k_env_override(monkeypatch):
         FieldCtx(2)
 
 
+def test_ctx_new_is_keyed_by_k_alone(monkeypatch):
+    from dunklops.builders import build_Dr
+    from dunklops.opalgebra import op_dr
+    assert ctx_new(3, 20) is ctx_new(3)
+    assert ctx_new(3, max_k=3) is ctx_new(3)
+    op_dr(ctx_new(3, 20)) + build_Dr(3)     # one context: no FieldError
+    with pytest.raises(FieldError):
+        ctx_new(5, max_k=4)
+    with pytest.raises(FieldError):
+        ctx_new(13)                         # above the default ceiling
+    with pytest.raises(FieldError):
+        ctx_new(0)
+    # the ceiling is read on every call, not only when a context is built
+    monkeypatch.setenv("DUNKLOPS_MAX_K", "3")
+    assert ctx_new(3).k == 3
+    with pytest.raises(FieldError):
+        ctx_new(4)
+
+
 def test_field_axioms_every_k():
     """Ring/field axioms on random scalars for every context the suite uses."""
     rng = random.Random(20260815)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk, build_R
+from dunklops.coeffring import ZRat, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
-from dunklops.identities import iter_rows
-from dunklops.opalgebra import commutator, op_I, op_R, op_dphi, op_dr
+from dunklops.identities import iter_rows, shadow_reports
+from dunklops.opalgebra import (commutator, op_coeff, op_I, op_R, op_dphi,
+                                op_dr)
 from dunklops.oracle import (DEFAULT_SEED, OracleReport, SamplePoint,
                              TestFunc, TestFuncSum, apply, f_value,
                              numeric_check, numeric_check_spec,
@@ -284,3 +286,70 @@ def test_mutations_exceed_tolerance_in_95_percent_of_trials():
             assert rep.num_over_tol >= 38     # >= 95% of 40
             flipped += 1
         assert flipped >= 1
+
+
+# ---------------------------------------------------------------------------
+# independence from the exact engine
+# ---------------------------------------------------------------------------
+
+
+def test_ring_defects_do_not_reach_the_oracle(monkeypatch):
+    """A seeded defect in the exact ring cancels out of the exact residual
+    of an identity; the oracle, which never calls the ring, flags it."""
+    k = 3
+    ctx = ctx_new(k)
+    t = trig(ctx, "tan_shift", 1)
+    tc, dphi, rot = op_coeff(ctx, t), op_dphi(ctx), op_R(ctx)
+    true_dphi, true_rotate = ZRat.d_phi, ZRat.rotate_n
+
+    def commutator_identity():          # [dphi, t] = t'
+        rhs = op_coeff(ctx, t.d_phi())
+        return (dphi * tc - tc * dphi - rhs,
+                ("ops", [(1, [dphi, tc]), (-1, [tc, dphi])], [(1, [rhs])]))
+
+    def rotation_identity():            # R t = t(rho z) R
+        moved = op_coeff(ctx, t.rotate_n(1))
+        return (rot * tc - moved * rot,
+                ("ops", [(1, [rot, tc])], [(1, [moved, rot])]))
+
+    defects = [
+        ("d_phi", lambda self: true_dphi(self) * 2, commutator_identity),
+        ("rotate_n", lambda self, n: true_rotate(self, -n),
+         rotation_identity),
+    ]
+    for name, defect, identity in defects:
+        with monkeypatch.context() as patch:
+            patch.setattr(ZRat, name, defect)
+            residual, spec = identity()
+            assert residual.is_zero(), name
+            rep = numeric_check_spec(spec, k, trials=100, tol=1e-9)
+        assert rep.num_over_tol >= 95, (name, rep)
+        residual, spec = identity()     # the sound ring: both witnesses agree
+        assert residual.is_zero(), name
+        assert numeric_check_spec(spec, k, trials=100).status == "pass"
+
+
+def test_oracle_does_no_ring_arithmetic(monkeypatch):
+    k = 4
+    lhs = build_extended_Hk(k, "via_Dphi")
+    rhs = build_extended_Hk(k, "via_Dr")
+    dphi = build_Dphi(k)
+    spec = ("ops", [(1, [lhs, dphi, dphi]), (-1, [dphi, dphi, rhs])], [])
+    f = random_test_func(np.random.default_rng(4), k)
+    pt = random_sample_point(np.random.default_rng(5), k)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the oracle called exact ring arithmetic")
+
+    for name in ("d_phi", "rotate_n", "reflect", "conj", "inv", "__mul__",
+                 "__rmul__", "__add__", "__radd__", "__sub__", "__neg__"):
+        monkeypatch.setattr(ZRat, name, forbidden)
+    assert numeric_check_spec(spec, k, trials=20).status == "pass"
+    steps = apply(dphi, apply(lhs, f))
+    assert np.isfinite(steps.value(pt))
+
+
+def test_no_oracle_state_outlives_a_call():
+    reports = shadow_reports("integral_commutes", 3)
+    assert reports and all(r.status == "pass" for r in reports)
+    assert len(ctx_new(3).oracle_cache) == 0
