@@ -9,6 +9,15 @@ division instead of polynomial gcd.  The canonical form of a nonzero f is
 num/den with den the monic product of the atoms and gcd(num, den) = 1; zero is
 ()/1.  Equality is literal equality of the canonical data.
 
+The numerator kernels work on the coordinate tuples of the coefficients, not
+on ``CycloScalar`` objects, and build scalars only for the coefficients they
+return.  Operands are sparse, so a product convolves only nonzero coordinates,
+into one unreduced row of zeta-powers per output power of z, and reduces each
+row modulo Phi_N once.  Trial division by z^d - zeta^s lifts the coefficients
+into Z[x]/(x^N - 1), where multiplying by zeta^s is a cyclic shift of the row
+by s; it reduces modulo Phi_N only the remainder, to test exactness, and the
+quotient only when the division is exact.
+
 A ``Coefficient`` is a polynomial in the radial variable r (integer, possibly
 negative, powers), the two reflection multiplicities a and b, and the squared
 oscillator frequency w2, with ZRat values:
@@ -55,17 +64,34 @@ def _zp_neg(p: list) -> list:
     return [-c for c in p]
 
 
-def _zp_mul(ctx: FieldCtx, a: list, b: list) -> list:
+def _nonzero_rows(p) -> list:
+    """(z-power, [(zeta-power, coordinate), ...]) for each nonzero coefficient."""
+    out = []
+    for i, c in enumerate(p):
+        row = [(t, v) for t, v in enumerate(c.coeffs) if v]
+        if row:
+            out.append((i, row))
+    return out
+
+
+def _zp_mul(ctx: FieldCtx, a, b) -> list:
     if not a or not b:
         return []
+    width = 2 * ctx.deg - 1
+    rows = [None] * (len(a) + len(b) - 1)
+    rows_b = _nonzero_rows(b)
+    for i, ra in _nonzero_rows(a):
+        for j, rb in rows_b:
+            row = rows[i + j]
+            if row is None:
+                row = rows[i + j] = [0] * width
+            for s, x in ra:
+                for t, y in rb:
+                    row[s + t] += x * y
     zero = ctx.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-    return _zp_trim(out)
+    return _zp_trim([zero if row is None
+                     else CycloScalar(ctx, tuple(ctx.reduce_row(row)))
+                     for row in rows])
 
 
 def _zp_scale(p: list, c: CycloScalar) -> list:
@@ -171,32 +197,30 @@ def _divmod_atom(ctx: FieldCtx, poly: list, atom):
         if poly[0].is_zero():
             return poly[1:]
         return None
-    if atom[0] == "lin":
-        c = ctx.root_power(atom[1])
-        n = len(poly) - 1
-        if n < 1:
-            return None
-        quo = [None] * n
-        acc = poly[n]
-        for j in range(n - 1, -1, -1):
-            quo[j] = acc
-            acc = poly[j] + c * acc
-        return quo if acc.is_zero() else None
-    # quadratic
-    c = ctx.root_power(atom[1])
+    # synthetic division by z^d - zeta^s on coefficients lifted to
+    # Z[x]/(x^N - 1): lifted[j] = poly[j] + zeta^s lifted[j + d]
+    d = _atom_degree(atom)
     n = len(poly) - 1
-    if n < 2:
+    if n < d:
         return None
-    quo = [ctx.zero()] * (n - 1)
-    rem = list(poly)
-    for j in range(n - 2, -1, -1):
-        q = rem[j + 2]
-        quo[j] = q
-        if not q.is_zero():
-            rem[j] = rem[j] + c * q
-    if rem[0].is_zero() and rem[1].is_zero():
-        return quo
-    return None
+    cut = ctx.N - atom[1] % ctx.N
+    pad = [0] * (ctx.N - ctx.deg)
+    lifted = [None] * (n + 1)
+    for j in range(n, -1, -1):
+        if j + d > n:
+            row = list(poly[j].coeffs) + pad
+        else:
+            prev = lifted[j + d]
+            row = prev[cut:] + prev[:cut]
+            for t, v in enumerate(poly[j].coeffs):
+                if v:
+                    row[t] += v
+        lifted[j] = row
+    for j in range(d):
+        if any(ctx.reduce_row(lifted[j])):
+            return None
+    return [CycloScalar(ctx, tuple(ctx.reduce_row(row)))
+            for row in lifted[d:]]
 
 
 def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
@@ -295,14 +319,6 @@ class ZRat:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_const(self) -> bool:
-        return not self.den and len(self.num) <= 1
-
-    def const_value(self) -> CycloScalar:
-        if not self.is_const():
-            raise CoeffError("ZRat is not a constant")
-        return self.num[0] if self.num else self.ctx.zero()
-
     def den_poly(self) -> list:
         """The monic dense denominator (product of the atoms)."""
         if self._den_poly is None:
@@ -343,18 +359,17 @@ class ZRat:
         lcm: dict = dict(sden)
         for a, m in oden.items():
             lcm[a] = max(lcm.get(a, 0), m)
-        def cof(mine):
-            out = [ctx.one()]
+        def to_lcm(num, mine):
+            # num times the atoms lcm has beyond mine (often none)
+            cof = None
             for a, m in lcm.items():
                 extra = m - mine.get(a, 0)
                 if extra:
                     ap = _atom_poly(ctx, a)
                     for _ in range(extra):
-                        out = _zp_mul(ctx, out, ap)
-            return out
-        num = _zp_add(ctx,
-                      _zp_mul(ctx, list(self.num), cof(sden)),
-                      _zp_mul(ctx, list(o.num), cof(oden)))
+                        cof = ap if cof is None else _zp_mul(ctx, cof, ap)
+            return list(num) if cof is None else _zp_mul(ctx, num, cof)
+        num = _zp_add(ctx, to_lcm(self.num, sden), to_lcm(o.num, oden))
         return ZRat._make(ctx, num, lcm)
 
     __radd__ = __add__
@@ -383,7 +398,7 @@ class ZRat:
         den = dict(self.den)
         for a, m in o.den:
             den[a] = den.get(a, 0) + m
-        num = _zp_mul(self.ctx, list(self.num), list(o.num))
+        num = _zp_mul(self.ctx, self.num, o.num)
         return ZRat._make(self.ctx, num, den)
 
     __rmul__ = __mul__

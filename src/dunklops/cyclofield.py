@@ -173,6 +173,8 @@ class FieldCtx:
                     nxt[i] -= lead * self._phi[i]
             cur = nxt[: self.deg]
         self._powers = powers
+        self._sparse_powers = [tuple((i, c) for i, c in enumerate(p) if c)
+                               for p in powers]
 
         # conjugation table: conj(zeta^j) = zeta^{N-j}
         self._conj = [powers[(self.N - j) % self.N] for j in range(self.deg)]
@@ -224,6 +226,19 @@ class FieldCtx:
     def rho(self) -> "CycloScalar":
         """rho = e^{i pi / k} = zeta^{N/(2k)}, the rotation eigenvalue."""
         return self.root_power(self.N // (2 * self.k))
+
+    def reduce_row(self, row: list) -> list:
+        """Power-basis coordinates of sum_m row[m] zeta^m, for rows of up to
+        max(N, 2 deg - 1) entries; the row itself is not modified."""
+        deg = self.deg
+        out = row[:deg]
+        sparse = self._sparse_powers
+        for m in range(deg, len(row)):
+            cm = row[m]
+            if cm:
+                for i, c in sparse[m]:
+                    out[i] += cm * c
+        return out
 
     @property
     def rho_exp(self) -> int:
@@ -316,11 +331,6 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise FieldError("scalar is not rational")
-        return self.coeffs[0]
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -362,16 +372,7 @@ class CycloScalar:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        powers = self.ctx._powers
-        for m in range(deg, 2 * deg - 1):
-            cm = conv[m]
-            if cm:
-                red = powers[m]
-                for i in range(deg):
-                    if red[i]:
-                        out[i] += cm * red[i]
-        return CycloScalar(self.ctx, tuple(out))
+        return CycloScalar(self.ctx, tuple(self.ctx.reduce_row(conv)))
 
     __rmul__ = __mul__
 

@@ -18,8 +18,9 @@ exact rational function of z: tan/cot/sec2/csc2 take an optional shift
 (phi + j*pi/k), seck and tank abbreviate 1/cos(k phi) and tan(k phi) and
 take a bare phi.  Negative powers are allowed for r, z, zeta and for any
 parenthesized group whose value is an invertible multiplication operator;
-generator powers must be nonnegative (R^n is reduced mod 2k).  Syntax and
-elaboration errors carry the offending position.
+generator powers must be nonnegative (R^n is reduced mod 2k).  Parentheses
+nest at most MAX_GROUP_DEPTH (200) deep.  Syntax and elaboration errors carry
+the offending position.
 
 ``pretty`` emits canonically ordered text that re-parses to an equal
 OpExpr; it never uses the trig sugar, only exact z-rational coefficients.
@@ -61,6 +62,10 @@ _TRIG_SUGAR = {
 _NAMES = {"a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S"}
 _KEYWORDS = _NAMES | set(_TRIG_SUGAR) | {"phi", "pi", "k"}
 
+# Nesting limit for parenthesized groups: parsing and elaboration recurse a
+# few frames per level, so deeper input would exhaust the interpreter's stack.
+MAX_GROUP_DEPTH = 200
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
 
@@ -96,6 +101,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.idx]
@@ -186,9 +192,13 @@ class _Parser:
             self.advance()
             return ("name", value, pos)
         if kind == "sym" and value == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_GROUP_DEPTH}")
             self.advance()
+            self.depth += 1
             inner = self.expr()
             self.expect("sym", ")")
+            self.depth -= 1
             return ("group", inner, pos)
         self.fail("expected a value")
 

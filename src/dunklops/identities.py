@@ -110,6 +110,10 @@ class OperatorSet:
         return self.Dphi * self.Dphi
 
     @cached_property
+    def Dphi2_expanded(self) -> OpExpr:
+        return build_Dphi_squared_expanded(self.ctx)
+
+    @cached_property
     def tail(self) -> OpExpr:
         return build_reflection_tail(self.ctx)
 
@@ -353,9 +357,9 @@ def _rows_dphi_squared(ops: OperatorSet):
     ctx = ops.ctx
     rows = [
         ("[main]",
-         lambda: ops.Dphi2 - build_Dphi_squared_expanded(ctx),
+         lambda: ops.Dphi2 - ops.Dphi2_expanded,
          lambda: ("ops", [(1, [ops.Dphi, ops.Dphi])],
-                  [(1, [build_Dphi_squared_expanded(ctx)])])),
+                  [(1, [ops.Dphi2_expanded])])),
     ]
     if ctx.k == 3:
         rows.append(

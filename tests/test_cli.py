@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, golden report."""
 
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from dunklops.cli import main, parse_k_list
 from dunklops.exprparse import pretty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +218,19 @@ def test_parse_error_caret(capsys):
     assert lines[0].startswith("parse error:")
     assert lines[1] == "  dr + "
     assert lines[2] == "  " + " " * 5 + "^"
+
+
+def test_deep_nesting_is_a_parse_error():
+    # a subprocess, so that an uncaught error would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for depth, code in ((200, 0), (300, 2)):
+        text = "(" * depth + "dr" + ")" * depth
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklops", "norm", "--k", "2", text],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr[-500:]
+        assert "Traceback" not in proc.stderr
+    assert "nested deeper than 200" in proc.stderr
 
 
 def test_usage_errors_exit_2(capsys):

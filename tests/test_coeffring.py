@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklops._rat import RAT
-from dunklops.coeffring import (TRIG_KINDS, Coefficient, ZRat, atomize,
+from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
+                                _atom_poly, _divmod_atom, _zp_mul, atomize,
                                 cot_k, factor_unit_binomial, trig)
-from dunklops.cyclofield import ctx_new
+from dunklops.cyclofield import CycloScalar, ctx_new
 from dunklops.errors import CoeffError, FieldError
 
 # real-valued reference implementations of each constructor, by kind
@@ -289,3 +290,109 @@ def test_coefficient_ring_and_actions():
 def test_mixed_contexts_rejected():
     with pytest.raises(FieldError):
         _ = trig(ctx_new(2), "tan_k") + trig(ctx_new(3), "tan_k")
+
+
+# ---------------------------------------------------------------------------
+# the numerator kernels against one CycloScalar operation per step
+# ---------------------------------------------------------------------------
+
+
+def _ref_trim(p):
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _ref_mul(ctx, a, b):
+    """Schoolbook product: one scalar multiply per pair of coefficients."""
+    if not a or not b:
+        return []
+    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai.is_zero():
+            for j, bj in enumerate(b):
+                if not bj.is_zero():
+                    out[i + j] = out[i + j] + ai * bj
+    return _ref_trim(out)
+
+
+def _ref_divmod_atom(ctx, poly, atom):
+    """Synthetic division by the atom over CycloScalar; None if inexact."""
+    if not poly:
+        return []
+    if atom == ATOM_Z:
+        return poly[1:] if poly[0].is_zero() else None
+    c = ctx.root_power(atom[1])
+    n = len(poly) - 1
+    if atom[0] == "lin":
+        if n < 1:
+            return None
+        quo = [None] * n
+        acc = poly[n]
+        for j in range(n - 1, -1, -1):
+            quo[j] = acc
+            acc = poly[j] + c * acc
+        return quo if acc.is_zero() else None
+    if n < 2:
+        return None
+    quo = [ctx.zero()] * (n - 1)
+    rem = list(poly)
+    for j in range(n - 2, -1, -1):
+        q = rem[j + 2]
+        quo[j] = q
+        if not q.is_zero():
+            rem[j] = rem[j] + c * q
+    return quo if rem[0].is_zero() and rem[1].is_zero() else None
+
+
+def _exact(poly):
+    """Coordinates with their types: int and RAT must agree as well."""
+    if poly is None:
+        return None
+    return [tuple((type(v), v) for v in c.coeffs) for c in poly]
+
+
+_COORD = st.one_of(
+    st.just(0), st.just(0), st.integers(-40, 40),
+    st.builds(RAT, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def _draw_poly(data, ctx, min_size=0, max_size=6):
+    coeff = st.one_of(
+        st.just((0,) * ctx.deg),
+        st.lists(_COORD, min_size=ctx.deg, max_size=ctx.deg).map(tuple))
+    rows = data.draw(st.lists(coeff, min_size=min_size, max_size=max_size))
+    return [CycloScalar(ctx, row) for row in rows]
+
+
+def _draw_atom(data, ctx):
+    kind = data.draw(st.sampled_from(["z", "lin", "quad"]))
+    if kind == "z":
+        return ATOM_Z
+    if kind == "lin":
+        return ("lin", data.draw(st.integers(0, ctx.N - 1)))
+    return ("quad", data.draw(st.integers(0, ctx.N // 2 - 1)) * 2 + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), data=st.data())
+def test_kernels_match_the_scalar_reference(k, data):
+    ctx = ctx_new(k)
+    a = _draw_poly(data, ctx)
+    b = _draw_poly(data, ctx)
+    assert _exact(_zp_mul(ctx, a, b)) == _exact(_ref_mul(ctx, a, b))
+
+    atom = _draw_atom(data, ctx)
+    poly = _ref_trim(list(a))
+    assert (_exact(_divmod_atom(ctx, poly, atom))
+            == _exact(_ref_divmod_atom(ctx, poly, atom)))
+
+    q = _ref_trim(_draw_poly(data, ctx, min_size=1))
+    if q:
+        exact = _ref_mul(ctx, _atom_poly(ctx, atom), q)
+        assert _exact(_divmod_atom(ctx, exact, atom)) == _exact(q)
+        assert _exact(_ref_divmod_atom(ctx, exact, atom)) == _exact(q)
+        # adding 1 leaves a nonzero remainder
+        inexact = [exact[0] + 1] + exact[1:]
+        assert _divmod_atom(ctx, inexact, atom) is None
+        assert _ref_divmod_atom(ctx, inexact, atom) is None
