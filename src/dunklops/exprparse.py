@@ -19,8 +19,9 @@ exact rational function of z: tan/cot/sec2/csc2 take an optional shift
 take a bare phi.  Negative powers are allowed for r, z, zeta and for any
 parenthesized group whose value is an invertible multiplication operator;
 generator powers must be nonnegative (R^n is reduced mod 2k).  Parentheses
-nest at most MAX_GROUP_DEPTH (200) deep.  Syntax and elaboration errors carry
-the offending position.
+nest at most MAX_GROUP_DEPTH (200) deep, and an exponent is at most
+MAX_EXPONENT (1024) in size.  Syntax and elaboration errors carry the
+offending position.
 
 ``pretty`` emits canonically ordered text that re-parses to an equal
 OpExpr; it never uses the trig sugar, only exact z-rational coefficients.
@@ -65,6 +66,9 @@ _KEYWORDS = _NAMES | set(_TRIG_SUGAR) | {"phi", "pi", "k"}
 # Nesting limit for parenthesized groups: parsing and elaboration recurse a
 # few frames per level, so deeper input would exhaust the interpreter's stack.
 MAX_GROUP_DEPTH = 200
+# Limit on |n| in 'x^n': a power's terms and coefficient degrees grow with n,
+# so a huge exponent would allocate without bound.
+MAX_EXPONENT = 1024
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -159,6 +163,8 @@ class _Parser:
             self.advance()
             neg = True
         tok = self.expect("int")
+        if tok[1] > MAX_EXPONENT:
+            self.fail(f"exponent larger than {MAX_EXPONENT}", tok[2])
         n = -tok[1] if neg else tok[1]
         return ("pow", base, n, base[-1])
 

@@ -6,10 +6,14 @@ parity precondition excludes the given k report "skipped".  A check may have
 several rows (one per j value, per relation, per explicit sub-identity);
 every row becomes its own CheckReport with a ``base[row]`` id.
 
-Alongside the exact residual, every row carries a numeric specification the
-oracle module can evaluate on random test functions; the specification is
-compositional (chains of operators applied in sequence) so the numeric
-witness never relies on the symbolic product routine it is shadowing.
+An operator row states its identity once, as weighted operator chains
+(lhs, rhs).  Both witnesses read that one statement: the exact residual is
+sum(lhs) - sum(rhs) computed with the symbolic product, and the oracle
+module applies the same chains factor by factor to random test functions,
+so the numeric witness never relies on the product routine it is shadowing.
+Only the trigonometric rows (exact atoms against ``math`` lambdas) and
+``hk_two_forms`` (the generic dr against the two cached assemblies) state
+their two sides apart, because their witnesses must differ.
 
     >>> check("trig_sec2", 3).status
     'pass'
@@ -38,7 +42,7 @@ from .builders import (MUTATIONS, build_counterterm, build_Dphi,
 from .coeffring import Coefficient, ZRat, cot_k, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
-from .opalgebra import OpExpr, op_I, op_R, op_coeff, op_dphi, op_dr, op_one
+from .opalgebra import OpExpr, op_I, op_R, op_coeff, op_dr, op_one, op_zero
 
 __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "check",
            "run_check", "run_suite", "shadow_reports", "iter_rows",
@@ -109,6 +113,17 @@ class OperatorSet:
     def Dphi2(self) -> OpExpr:
         return self.Dphi * self.Dphi
 
+    def chain(self, factors) -> OpExpr:
+        """The product of a chain, left to right.  A tuple factor is a
+        sub-product; (Dphi, Dphi) is the cached Dphi2."""
+        total = None
+        for f in factors:
+            if isinstance(f, tuple):
+                f = (self.Dphi2 if f == (self.Dphi, self.Dphi)
+                     else self.chain(f))
+            total = f if total is None else total * f
+        return self.one if total is None else total
+
     @cached_property
     def Dphi2_expanded(self) -> OpExpr:
         return build_Dphi_squared_expanded(self.ctx)
@@ -173,106 +188,85 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # rows
 # ---------------------------------------------------------------------------
-# A row is (row_id, residual_fn, numeric_fn):
+# An operator row is (row_id, spec_fn); spec_fn() states the identity once:
+#     (kind, lhs, rhs)   kind "ops", or "ops-invariant" on group-invariant
+#                        functions; lhs/rhs: list[(int, [factor, ...])]
+# A factor is an OpExpr or a tuple of them, a sub-product: the exact side
+# takes it from OperatorSet.chain (so (Dphi, Dphi) is the cached Dphi2), the
+# oracle applies its members one by one.  The exact residual is
+# sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".
+# The trig rows and hk_two_forms give (row_id, residual_fn, numeric_fn),
+# which is what iter_rows makes of every row:
 #   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
-#   numeric_fn()  -> one of
-#     ("ops", lhs, rhs)            lhs/rhs: list[(int, [OpExpr, ...])] chain sums
-#     ("ops-invariant", lhs, rhs)  ditto, on group-invariant test functions
-#     ("angle", f, g)              f/g: callable(phi: float) -> float
+#   numeric_fn()  -> (kind, lhs, rhs) with plain chains, or
+#                    ("angle", f, g), f/g: callable(phi: float) -> float
+
+
+def _equal(lhs: list, rhs: list, kind: str = "ops"):
+    """One chain equals another."""
+    return (kind, [(1, lhs)], [(1, rhs)])
+
+
+def _commutes(x, y, sign: int = -1):
+    """x y - y x = 0 (x y + y x = 0 with ``sign`` = 1)."""
+    return ("ops", [(1, [x, y]), (sign, [y, x])], [])
 
 
 def _rows_group_relations(ops: OperatorSet):
-    ctx, two_k = ops.ctx, 2 * ops.ctx.k
-    R, I, one = ops.R, ops.I, ops.one
-    r_inv = op_R(ctx, two_k - 1)
+    two_k = 2 * ops.ctx.k
+    R, I = ops.R, ops.I
+    r_inv = op_R(ops.ctx, two_k - 1)
     return [
-        ("[R-order]", lambda: R ** two_k - one,
-         lambda: ("ops", [(1, [R] * two_k)], [(1, [])])),
-        ("[I-square]", lambda: I * I - one,
-         lambda: ("ops", [(1, [I, I])], [(1, [])])),
-        ("[braid]", lambda: I * R - r_inv * I,
-         lambda: ("ops", [(1, [I, R])], [(1, [r_inv, I])])),
-        ("[R-dagger]", lambda: R.adjoint() - r_inv,
-         lambda: ("ops", [(1, [R.adjoint()])], [(1, [r_inv])])),
-        ("[I-dagger]", lambda: I.adjoint() - I,
-         lambda: ("ops", [(1, [I.adjoint()])], [(1, [I])])),
+        ("[R-order]", lambda: _equal([R] * two_k, [])),
+        ("[I-square]", lambda: _equal([I, I], [])),
+        ("[braid]", lambda: _equal([I, R], [r_inv, I])),
+        ("[R-dagger]", lambda: _equal([R.adjoint()], [r_inv])),
+        ("[I-dagger]", lambda: _equal([I.adjoint()], [I])),
     ]
 
 
 def _rows_dr_props(ops: OperatorSet):
     return [
-        ("[dagger]",
-         lambda: ops.Dr.adjoint() + ops.Dr + ops.inv_r * ops.bracket,
-         lambda: ("ops", [(1, [ops.Dr.adjoint()])],
-                  [(-1, [ops.Dr]), (-1, [ops.inv_r, ops.bracket])])),
-        ("[R-commute]", lambda: ops.R * ops.Dr - ops.Dr * ops.R,
-         lambda: ("ops", [(1, [ops.R, ops.Dr]), (-1, [ops.Dr, ops.R])],
-                  [])),
-        ("[I-commute]", lambda: ops.I * ops.Dr - ops.Dr * ops.I,
-         lambda: ("ops", [(1, [ops.I, ops.Dr]), (-1, [ops.Dr, ops.I])],
-                  [])),
+        ("[dagger]", lambda: ("ops", [(1, [ops.Dr.adjoint()])],
+                              [(-1, [ops.Dr]),
+                               (-1, [ops.inv_r, ops.bracket])])),
+        ("[R-commute]", lambda: _commutes(ops.R, ops.Dr)),
+        ("[I-commute]", lambda: _commutes(ops.I, ops.Dr)),
     ]
 
 
 def _rows_dphi_props(ops: OperatorSet):
     return [
-        ("[dagger]", lambda: ops.Dphi.adjoint() + ops.Dphi,
-         lambda: ("ops", [(1, [ops.Dphi.adjoint()])], [(-1, [ops.Dphi])])),
-        ("[R-commute]", lambda: ops.R * ops.Dphi - ops.Dphi * ops.R,
-         lambda: ("ops", [(1, [ops.R, ops.Dphi]), (-1, [ops.Dphi, ops.R])],
-                  [])),
-        ("[I-anticommute]", lambda: ops.I * ops.Dphi + ops.Dphi * ops.I,
-         lambda: ("ops", [(1, [ops.I, ops.Dphi]), (1, [ops.Dphi, ops.I])],
-                  [])),
+        ("[dagger]", lambda: ("ops", [(1, [ops.Dphi.adjoint()])],
+                              [(-1, [ops.Dphi])])),
+        ("[R-commute]", lambda: _commutes(ops.R, ops.Dphi)),
+        ("[I-anticommute]", lambda: _commutes(ops.I, ops.Dphi, sign=1)),
     ]
 
 
 def _rows_dr_dphi_commutator(ops: OperatorSet):
     return [
-        ("[main]",
-         lambda: (ops.Dr * ops.Dphi - ops.Dphi * ops.Dr
-                  + 2 * ops.inv_r * ops.tail * ops.Dphi),
-         lambda: ("ops",
-                  [(1, [ops.Dr, ops.Dphi]), (-1, [ops.Dphi, ops.Dr])],
-                  [(-2, [ops.inv_r, ops.tail, ops.Dphi])])),
+        ("[main]", lambda: ("ops", [(1, [ops.Dr, ops.Dphi]),
+                                    (-1, [ops.Dphi, ops.Dr])],
+                            [(-2, [ops.inv_r, ops.tail, ops.Dphi])])),
     ]
 
 
-def _shifted(fn, k: int, i: int):
-    return lambda phi: fn(phi + i * math.pi / k)
-
-
-def _rows_trig_sec2(ops: OperatorSet):
+def _rows_shifted_sum(ops: OperatorSet, shift_kind: str, target, h, p: int):
+    """sum_i f(phi + i pi/k) = k^p f(k phi) for f = 1/h^p; ``target(ctx)``
+    is the exact f(k phi)."""
     ctx, k = ops.ctx, ops.ctx.k
 
     def residual():
         total = ZRat.const(ctx, 0)
         for i in range(k):
-            total = total + trig(ctx, "sec2_shift", i)
-        return total - ctx.scalar(k * k) * trig(ctx, "sec2_k")
+            total = total + trig(ctx, shift_kind, i)
+        return total - ctx.scalar(k ** p) * target(ctx)
 
     def numeric():
-        lhs = lambda phi: sum(1.0 / math.cos(phi + i * math.pi / k) ** 2
+        lhs = lambda phi: sum(1.0 / h(phi + i * math.pi / k) ** p
                               for i in range(k))
-        rhs = lambda phi: k * k / math.cos(k * phi) ** 2
-        return ("angle", lhs, rhs)
-
-    return [("[sum]", residual, numeric)]
-
-
-def _rows_trig_csc2(ops: OperatorSet):
-    ctx, k = ops.ctx, ops.ctx.k
-
-    def residual():
-        total = ZRat.const(ctx, 0)
-        for i in range(k):
-            total = total + trig(ctx, "csc2_shift", i)
-        return total - ctx.scalar(k * k) * trig(ctx, "csc2_k")
-
-    def numeric():
-        lhs = lambda phi: sum(1.0 / math.sin(phi + i * math.pi / k) ** 2
-                              for i in range(k))
-        rhs = lambda phi: k * k / math.sin(k * phi) ** 2
+        rhs = lambda phi: k ** p / h(k * phi) ** p
         return ("angle", lhs, rhs)
 
     return [("[sum]", residual, numeric)]
@@ -335,54 +329,25 @@ def _rows_trig_half_angle(ops: OperatorSet):
     return [("[sum]", residual, numeric)]
 
 
-def _rows_trig_cot_sum(ops: OperatorSet):
-    ctx, k = ops.ctx, ops.ctx.k
-
-    def residual():
-        total = ZRat.const(ctx, 0)
-        for i in range(k):
-            total = total + trig(ctx, "cot_shift", i)
-        return total - ctx.scalar(k) * cot_k(ctx)
-
-    def numeric():
-        lhs = lambda phi: sum(1.0 / math.tan(phi + i * math.pi / k)
-                              for i in range(k))
-        rhs = lambda phi: k / math.tan(k * phi)
-        return ("angle", lhs, rhs)
-
-    return [("[sum]", residual, numeric)]
-
-
 def _rows_dphi_squared(ops: OperatorSet):
-    ctx = ops.ctx
-    rows = [
-        ("[main]",
-         lambda: ops.Dphi2 - ops.Dphi2_expanded,
-         lambda: ("ops", [(1, [ops.Dphi, ops.Dphi])],
-                  [(1, [ops.Dphi2_expanded])])),
-    ]
-    if ctx.k == 3:
-        rows.append(
-            ("[k3-explicit]",
-             lambda: ops.Dphi2 - explicit_k3_Dphi_squared(),
-             lambda: ("ops", [(1, [ops.Dphi, ops.Dphi])],
-                      [(1, [explicit_k3_Dphi_squared()])])))
+    rows = [("[main]", lambda: _equal([(ops.Dphi, ops.Dphi)],
+                                      [ops.Dphi2_expanded]))]
+    if ops.ctx.k == 3:
+        rows.append(("[k3-explicit]",
+                     lambda: _equal([(ops.Dphi, ops.Dphi)],
+                                    [explicit_k3_Dphi_squared()])))
     return rows
 
 
 def _rows_s_props(ops: OperatorSet):
     k = ops.ctx.k
     return [
-        ("[R-commute]", lambda: ops.R * ops.S - ops.S * ops.R,
-         lambda: ("ops", [(1, [ops.R, ops.S]), (-1, [ops.S, ops.R])], [])),
-        ("[R4-fix]", lambda: op_R(ops.ctx, 4) * ops.S - ops.S,
-         lambda: ("ops", [(1, [op_R(ops.ctx, 4), ops.S])], [(1, [ops.S])])),
-        ("[idempotent]", lambda: 2 * (ops.S * ops.S) - k * ops.S,
-         lambda: ("ops", [(2, [ops.S, ops.S])], [(k, [ops.S])])),
-        ("[I-commute]", lambda: ops.I * ops.S - ops.S * ops.I,
-         lambda: ("ops", [(1, [ops.I, ops.S]), (-1, [ops.S, ops.I])], [])),
-        ("[dagger]", lambda: ops.S.adjoint() - ops.S,
-         lambda: ("ops", [(1, [ops.S.adjoint()])], [(1, [ops.S])])),
+        ("[R-commute]", lambda: _commutes(ops.R, ops.S)),
+        ("[R4-fix]", lambda: _equal([op_R(ops.ctx, 4), ops.S], [ops.S])),
+        ("[idempotent]", lambda: ("ops", [(2, [ops.S, ops.S])],
+                                  [(k, [ops.S])])),
+        ("[I-commute]", lambda: _commutes(ops.I, ops.S)),
+        ("[dagger]", lambda: _equal([ops.S.adjoint()], [ops.S])),
     ]
 
 
@@ -401,85 +366,59 @@ def _rows_hk_two_forms(ops: OperatorSet):
 
 def _rows_hk_invariance(ops: OperatorSet):
     return [
-        ("[R-commute]",
-         lambda: ops.R * ops.HkExtPhi - ops.HkExtPhi * ops.R,
-         lambda: ("ops", [(1, [ops.R, ops.HkExtPhi]),
-                          (-1, [ops.HkExtPhi, ops.R])], [])),
-        ("[I-commute]",
-         lambda: ops.I * ops.HkExtPhi - ops.HkExtPhi * ops.I,
-         lambda: ("ops", [(1, [ops.I, ops.HkExtPhi]),
-                          (-1, [ops.HkExtPhi, ops.I])], [])),
+        ("[R-commute]", lambda: _commutes(ops.R, ops.HkExtPhi)),
+        ("[I-commute]", lambda: _commutes(ops.I, ops.HkExtPhi)),
     ]
 
 
 def _rows_hk_projection(ops: OperatorSet):
     return [
-        ("[main]",
-         lambda: ops.HkExtPhi.project_identity() - ops.Hk,
-         lambda: ("ops-invariant", [(1, [ops.HkExtPhi])], [(1, [ops.Hk])])),
+        ("[main]", lambda: _equal([ops.HkExtPhi], [ops.Hk], "ops-invariant")),
     ]
 
 
 def _rows_integral_commutes(ops: OperatorSet):
     return [
-        ("[main]",
-         lambda: ops.HkExtPhi * ops.Dphi2 - ops.Dphi2 * ops.HkExtPhi,
-         lambda: ("ops",
-                  [(1, [ops.HkExtPhi, ops.Dphi, ops.Dphi]),
-                   (-1, [ops.Dphi, ops.Dphi, ops.HkExtPhi])], [])),
-        ("[projected]",
-         lambda: ops.Hk * ops.Xk - ops.Xk * ops.Hk,
-         lambda: ("ops", [(1, [ops.Hk, ops.Xk]), (-1, [ops.Xk, ops.Hk])],
-                  [])),
+        ("[main]", lambda: _commutes(ops.HkExtPhi, (ops.Dphi, ops.Dphi))),
+        ("[projected]", lambda: _commutes(ops.Hk, ops.Xk)),
     ]
 
 
 def _rows_integral_projection(ops: OperatorSet):
     return [
-        ("[main]",
-         lambda: ((-ops.Dphi2).project_identity()
-                  - (ops.Xk - ops.proj_shift)),
-         lambda: ("ops-invariant", [(-1, [ops.Dphi, ops.Dphi])],
-                  [(1, [ops.Xk]), (-1, [ops.proj_shift])])),
+        ("[main]", lambda: ("ops-invariant", [(-1, [(ops.Dphi, ops.Dphi)])],
+                            [(1, [ops.Xk]), (-1, [ops.proj_shift])])),
     ]
+
+
+def _rows_specialization(ops: OperatorSet, pairs):
+    """The general-k operator ``getattr(ops, name)`` equals the hand-written
+    ``explicit()`` for one k."""
+    return [(rid, lambda name=name, explicit=explicit:
+             _equal([getattr(ops, name)], [explicit()]))
+            for rid, name, explicit in pairs]
 
 
 def _rows_k3_specialization(ops: OperatorSet):
-    pairs = [
-        ("[Dr]", lambda: ops.Dr, explicit_k3_Dr),
-        ("[Dphi]", lambda: ops.Dphi, explicit_k3_Dphi),
-        ("[counterterm]", lambda: ops.counterterm, explicit_k3_counterterm),
-    ]
-    return [
-        (rid,
-         (lambda mine=mine, ref=ref: mine() - ref()),
-         (lambda mine=mine, ref=ref:
-          ("ops", [(1, [mine()])], [(1, [ref()])])))
-        for rid, mine, ref in pairs
-    ]
+    return _rows_specialization(ops, [
+        ("[Dr]", "Dr", explicit_k3_Dr),
+        ("[Dphi]", "Dphi", explicit_k3_Dphi),
+        ("[counterterm]", "counterterm", explicit_k3_counterterm),
+    ])
 
 
 def _rows_k2_specialization(ops: OperatorSet):
-    pairs = [
-        ("[Dr]", lambda: ops.Dr, explicit_k2_Dr),
-        ("[Dphi]", lambda: ops.Dphi, explicit_k2_Dphi),
-        ("[Dphi-squared]", lambda: ops.Dphi2, explicit_k2_Dphi_squared),
-        ("[counterterm]", lambda: ops.counterterm, explicit_k2_counterterm),
-    ]
-    return [
-        (rid,
-         (lambda mine=mine, ref=ref: mine() - ref()),
-         (lambda mine=mine, ref=ref:
-          ("ops", [(1, [mine()])], [(1, [ref()])])))
-        for rid, mine, ref in pairs
-    ]
+    return _rows_specialization(ops, [
+        ("[Dr]", "Dr", explicit_k2_Dr),
+        ("[Dphi]", "Dphi", explicit_k2_Dphi),
+        ("[Dphi-squared]", "Dphi2", explicit_k2_Dphi_squared),
+        ("[counterterm]", "counterterm", explicit_k2_counterterm),
+    ])
 
 
 def _rows_hk_selfadjoint(ops: OperatorSet):
     return [
-        ("[main]", lambda: ops.HkExtPhi.adjoint() - ops.HkExtPhi,
-         lambda: ("ops", [(1, [ops.HkExtPhi.adjoint()])],
-                  [(1, [ops.HkExtPhi])])),
+        ("[main]", lambda: _equal([ops.HkExtPhi.adjoint()], [ops.HkExtPhi])),
     ]
 
 
@@ -496,8 +435,10 @@ _REGISTRY: dict = {
     "dr_props": (_ALWAYS, _rows_dr_props),
     "dphi_props": (_ALWAYS, _rows_dphi_props),
     "dr_dphi_commutator": (_ALWAYS, _rows_dr_dphi_commutator),
-    "trig_sec2": (_ODD, _rows_trig_sec2),
-    "trig_csc2": (_ALWAYS, _rows_trig_csc2),
+    "trig_sec2": (_ODD, lambda ops: _rows_shifted_sum(
+        ops, "sec2_shift", lambda ctx: trig(ctx, "sec2_k"), math.cos, 2)),
+    "trig_csc2": (_ALWAYS, lambda ops: _rows_shifted_sum(
+        ops, "csc2_shift", lambda ctx: trig(ctx, "csc2_k"), math.sin, 2)),
     "trig_tan_tan": (lambda k: k % 2 == 1 and k >= 3,
                      lambda ops: _rows_trig_pair_family(
                          ops, "tan_shift", "tan_shift", False, -ops.ctx.k)),
@@ -508,7 +449,8 @@ _REGISTRY: dict = {
                    lambda ops: _rows_trig_pair_family(
                        ops, "tan_shift", "cot_shift", True, 2 * ops.ctx.k)),
     "trig_half_angle": (_EVEN, _rows_trig_half_angle),
-    "trig_cot_sum": (_EVEN, _rows_trig_cot_sum),
+    "trig_cot_sum": (_EVEN, lambda ops: _rows_shifted_sum(
+        ops, "cot_shift", cot_k, math.tan, 1)),
     "dphi_squared": (_ALWAYS, _rows_dphi_squared),
     "s_props": (_EVEN, _rows_s_props),
     "hk_two_forms": (_ALWAYS, _rows_hk_two_forms),
@@ -534,13 +476,51 @@ def applicable(check_id: str, k: int) -> bool:
     return _REGISTRY[check_id][0](k)
 
 
+def _chain_sum(ops: OperatorSet, chains, total: OpExpr) -> OpExpr:
+    for weight, chain in chains:
+        term = ops.chain(chain)
+        if weight == -1:
+            term = -term
+        elif weight != 1:
+            term = OpExpr(ops.ctx, {key: c * weight
+                                    for key, c in term.terms.items()})
+        total = total + term
+    return total
+
+
+def _exact_residual(ops: OperatorSet, spec) -> OpExpr:
+    """sum(lhs) - sum(rhs) of an operator spec; sum(lhs) is projected onto
+    the invariant sector for "ops-invariant"."""
+    kind, lhs, rhs = spec
+    total = _chain_sum(ops, lhs, op_zero(ops.ctx))
+    if kind == "ops-invariant":
+        total = total.project_identity()
+    return _chain_sum(ops, [(-w, chain) for w, chain in rhs], total)
+
+
+def _numeric_spec(spec):
+    """The spec as the oracle takes it: tuple factors spread into the chain."""
+    kind, lhs, rhs = spec
+    spread = lambda chains: [
+        (w, [op for f in chain
+             for op in (f if isinstance(f, tuple) else (f,))])
+        for w, chain in chains]
+    return kind, spread(lhs), spread(rhs)
+
+
 def iter_rows(check_id: str, k: int, mutation: str | None = None):
     """The (row_id, residual_fn, numeric_fn) rows of one applicable check."""
     if not applicable(check_id, k):
         return []
     ops = operator_set(k, mutation)
-    rows = _REGISTRY[check_id][1](ops)
-    return [(check_id + rid, res, num) for rid, res, num in rows]
+    rows = []
+    for rid, *fns in _REGISTRY[check_id][1](ops):
+        if len(fns) == 1:
+            spec = fns[0]
+            fns = (lambda spec=spec: _exact_residual(ops, spec()),
+                   lambda spec=spec: _numeric_spec(spec()))
+        rows.append((check_id + rid, *fns))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, golden report."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklops.builders import build_Dphi
 from dunklops.cli import main, parse_k_list
@@ -223,14 +227,49 @@ def test_parse_error_caret(capsys):
 def test_deep_nesting_is_a_parse_error():
     # a subprocess, so that an uncaught error would show as a traceback
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for depth, code in ((200, 0), (300, 2)):
-        text = "(" * depth + "dr" + ")" * depth
+    nest = lambda depth: "(" * depth + "dr" + ")" * depth
+    cases = [(nest(200), 0, ""), (nest(300), 2, "nested deeper than 200"),
+             ("R^1024", 0, ""), ("R^1025", 2, "exponent larger than 1024")]
+    for text, code, message in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "dunklops", "norm", "--k", "2", text],
             capture_output=True, text=True, env=env)
         assert proc.returncode == code, proc.stderr[-500:]
         assert "Traceback" not in proc.stderr
-    assert "nested deeper than 200" in proc.stderr
+        assert message in proc.stderr
+
+
+# Names, literals and trig sugar of the grammar, plus a few tokens that are
+# valid only in other places, so that error paths are drawn too.
+_LEAVES = ("a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S",
+           "0", "2", "3/4", "1/0", "tan(phi)", "cot(phi + 1*pi/k)",
+           "sec2(phi - 2*pi/k)", "csc2(phi)", "seck(phi)", "tank(phi)",
+           "phi", "Dr", "r^-1", "z^-2")
+
+
+def _grow(parts):
+    exponents = st.integers(-6, 6).map(str)
+    return st.one_of(
+        parts.map(lambda x: f"({x})"),
+        parts.map(lambda x: f"-{x}"),
+        st.tuples(parts, st.sampled_from(" + | - |*".split("|")), parts)
+        .map("".join),
+        st.tuples(parts, exponents).map(lambda t: f"{t[0]}^{t[1]}"),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.sampled_from(_LEAVES), _grow, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cmd=st.sampled_from(["norm", "adjoint", "project"]),
+       k=st.sampled_from(["1", "2", "3"]), text=_EXPRESSIONS)
+def test_expression_commands_never_escape(cmd, k, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([cmd, "--k", k, "--", text])
+    assert code in (0, 2), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_usage_errors_exit_2(capsys):

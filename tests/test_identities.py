@@ -7,6 +7,7 @@ from dunklops.errors import AlgebraError
 from dunklops.identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
                                  applicable, check, iter_rows, operator_set,
                                  run_check, run_suite, shadow_reports)
+from dunklops.oracle import numeric_check_spec
 
 EXPECTED_IDS = {
     "group_relations", "dr_props", "dphi_props", "dr_dphi_commutator",
@@ -207,3 +208,22 @@ def test_oracle_rows_flag_mutations():
     for r in oracle_fail:
         assert r.residual_term_count >= 9      # over-tol in >= 90% of trials
         assert "max rel dev" in r.residual_sample
+
+
+def test_exact_and_numeric_witnesses_agree_on_every_row():
+    # Both witnesses read one spec per operator row; on every default row,
+    # with and without a mutation, they must reach the same verdict.
+    disagree, rows = [], 0
+    for mutation in (None, *sorted(MUTATIONS)):
+        for k in (1, 2, 3, 4):
+            for cid in DEFAULT_CHECK_IDS:
+                for row_id, residual_fn, numeric_fn in iter_rows(cid, k,
+                                                                 mutation):
+                    rows += 1
+                    exact = residual_fn().is_zero()
+                    numeric = numeric_check_spec(numeric_fn(), k,
+                                                 trials=40).status == "pass"
+                    if exact != numeric:
+                        disagree.append((mutation, k, row_id, exact))
+    assert rows == 342
+    assert not disagree
