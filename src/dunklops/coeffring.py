@@ -6,8 +6,21 @@ factors ("atoms") are z, z - zeta^s, or the irreducible z^2 - zeta^s (s odd);
 every denominator that arises from the trigonometric constructors splits into
 such atoms, and keeping them factored lets reduction proceed by exact trial
 division instead of polynomial gcd.  The canonical form of a nonzero f is
-num/den with den the monic product of the atoms and gcd(num, den) = 1; zero is
-()/1.  Equality is literal equality of the canonical data.
+num/den with den the monic product of the atoms and gcd(num, den) = 1, that is,
+no atom of den divides num; zero is ()/1.  Every operation returns this form,
+and equality is literal equality of the canonical data.
+
+The atoms are pairwise coprime irreducibles and the operands are canonical, so
+most trial divisions can be shown in advance to fail and are not made (as in
+Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
+
+    a + b        the atoms with the same multiplicity in both denominators
+    a * b        the atoms of each denominator, on the other numerator,
+                 before multiplying
+    d_phi        only z
+    inv          none
+    rotate_n, reflect, conj, neg   none (they map canonical forms to
+                 canonical forms)
 
 The numerator kernels work on the coordinate tuples of the coefficients, not
 on ``CycloScalar`` objects, and build scalars only for the coefficients they
@@ -258,6 +271,28 @@ def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
     return unit, atoms
 
 
+def _den_tuple(den: dict) -> tuple:
+    """The canonical denominator: (atom, multiplicity) pairs in atom order."""
+    return tuple(sorted(((a, m) for a, m in den.items() if m > 0),
+                        key=lambda am: _atom_sort_key(am[0])))
+
+
+def _cancel(ctx: FieldCtx, num, den) -> tuple[list, dict]:
+    """Divide num by each atom of den up to its multiplicity, as far as the
+    divisions are exact; return the quotient and the multiplicities left."""
+    num = list(num)
+    left = {}
+    for atom, mult in den:
+        while mult > 0:
+            quo = _divmod_atom(ctx, num, atom)
+            if quo is None:
+                break
+            num = quo
+            mult -= 1
+        left[atom] = mult
+    return num, left
+
+
 # ---------------------------------------------------------------------------
 # ZRat
 # ---------------------------------------------------------------------------
@@ -278,23 +313,17 @@ class ZRat:
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def _make(ctx: FieldCtx, num: list, den: dict) -> "ZRat":
+    def _make(ctx: FieldCtx, num: list, den: dict,
+              tries: Iterable | None = None) -> "ZRat":
+        """Reduce num/den by trial division by the atoms in ``tries``, each up
+        to its multiplicity in den; every atom of den when tries is None."""
         num = _zp_trim(list(num))
         if not num:
             return ZRat(ctx, (), ())
-        for atom in sorted((a for a, m in den.items() if m > 0),
-                           key=_atom_sort_key):
-            mult = den[atom]
-            while mult > 0:
-                quo = _divmod_atom(ctx, num, atom)
-                if quo is None:
-                    break
-                num = quo
-                mult -= 1
-            den[atom] = mult
-        den_t = tuple(sorted(((a, m) for a, m in den.items() if m > 0),
-                             key=lambda am: _atom_sort_key(am[0])))
-        return ZRat(ctx, tuple(num), den_t)
+        num, left = _cancel(ctx, num, [(a, den[a]) for a in
+                                       (den if tries is None else tries)])
+        den.update(left)
+        return ZRat(ctx, tuple(num), _den_tuple(den))
 
     @staticmethod
     def from_poly(ctx: FieldCtx, coeffs: Iterable) -> "ZRat":
@@ -356,9 +385,15 @@ class ZRat:
         ctx = self.ctx
         sden = dict(self.den)
         oden = dict(o.den)
-        lcm: dict = dict(sden)
-        for a, m in oden.items():
-            lcm[a] = max(lcm.get(a, 0), m)
+        lcm = dict(sden)
+        tries = []
+        for a, m in o.den:
+            mine = lcm.get(a, 0)
+            if m == mine:
+                tries.append(a)
+            elif m > mine:
+                lcm[a] = m
+
         def to_lcm(num, mine):
             # num times the atoms lcm has beyond mine (often none)
             cof = None
@@ -370,7 +405,10 @@ class ZRat:
                         cof = ap if cof is None else _zp_mul(ctx, cof, ap)
             return list(num) if cof is None else _zp_mul(ctx, num, cof)
         num = _zp_add(ctx, to_lcm(self.num, sden), to_lcm(o.num, oden))
-        return ZRat._make(ctx, num, lcm)
+        # Only an atom with the same multiplicity in both denominators can
+        # cancel: otherwise the sum is, mod that atom, the operand with the
+        # higher power times other atoms, and that is nonzero mod the atom.
+        return ZRat._make(ctx, num, lcm, tries)
 
     __radd__ = __add__
 
@@ -395,11 +433,15 @@ class ZRat:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return ZRat(self.ctx, (), ())
-        den = dict(self.den)
-        for a, m in o.den:
-            den[a] = den.get(a, 0) + m
-        num = _zp_mul(self.ctx, self.num, o.num)
-        return ZRat._make(self.ctx, num, den)
+        ctx = self.ctx
+        # Each operand is reduced, so an atom of one denominator can cancel
+        # only against the other numerator.  Cancel it there, on the smaller
+        # factors; the product of the two reduced parts is then reduced.
+        a, den = _cancel(ctx, self.num, o.den)
+        b, sden = _cancel(ctx, o.num, self.den)
+        for atom, m in sden.items():
+            den[atom] = den.get(atom, 0) + m
+        return ZRat(ctx, tuple(_zp_mul(ctx, a, b)), _den_tuple(den))
 
     __rmul__ = __mul__
 
@@ -408,7 +450,9 @@ class ZRat:
             raise ScalarInversionError("inversion of the zero coefficient")
         unit, atoms = atomize(self.ctx, list(self.num))
         num = _zp_scale(self.den_poly(), unit.inv())
-        return ZRat._make(self.ctx, num, atoms)
+        # The old numerator is coprime to the old denominator, which becomes
+        # the new numerator, so no atom can cancel.
+        return ZRat(self.ctx, tuple(num), _den_tuple(atoms))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -458,8 +502,7 @@ class ZRat:
                 den.append((("lin", (atom[1] - n * step) % ctx.N), mult))
             else:
                 den.append((("quad", (atom[1] - 2 * n * step) % ctx.N), mult))
-        den_t = tuple(sorted(den, key=lambda am: _atom_sort_key(am[0])))
-        return ZRat(ctx, num, den_t)
+        return ZRat(ctx, num, _den_tuple(dict(den)))
 
     def reflect(self) -> "ZRat":
         """Substitute z -> 1/z.  Bijective on canonical forms."""
@@ -493,8 +536,7 @@ class ZRat:
             num = _zp_shift(ctx, num, e_shift)
         else:
             den[ATOM_Z] = den.get(ATOM_Z, 0) - e_shift
-        den_t = tuple(sorted(den.items(), key=lambda am: _atom_sort_key(am[0])))
-        return ZRat(ctx, tuple(num), den_t)
+        return ZRat(ctx, tuple(num), _den_tuple(den))
 
     def conj(self) -> "ZRat":
         """Scalar conjugation combined with z -> 1/z (adjoint of a multiplier)."""
@@ -502,12 +544,9 @@ class ZRat:
             return self
         ctx = self.ctx
         num = tuple(c.conj() for c in self.num)
-        den = tuple(
-            (atom if atom == ATOM_Z else (atom[0], (-atom[1]) % ctx.N), mult)
-            for atom, mult in self.den
-        )
-        sigma = ZRat(ctx, num,
-                     tuple(sorted(den, key=lambda am: _atom_sort_key(am[0]))))
+        den = {(atom if atom == ATOM_Z else (atom[0], (-atom[1]) % ctx.N)): mult
+               for atom, mult in self.den}
+        sigma = ZRat(ctx, num, _den_tuple(den))
         return sigma.reflect()
 
     def d_phi(self) -> "ZRat":
@@ -539,7 +578,9 @@ class ZRat:
                       _zp_neg(_zp_mul(ctx, list(self.num), B)))
         num = _zp_shift(ctx, _zp_scale(num, iz), 1)
         den = {a: m + 1 for a, m in self.den}
-        return ZRat._make(ctx, num, den)
+        # Only z can cancel: mod any other atom a the numerator is
+        # -i z e_a N a' A/a, a product of factors prime to a.
+        return ZRat._make(ctx, num, den, [ATOM_Z] if ATOM_Z in den else [])
 
     # -- evaluation / comparison ------------------------------------------------
 

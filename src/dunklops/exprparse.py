@@ -19,8 +19,10 @@ exact rational function of z: tan/cot/sec2/csc2 take an optional shift
 take a bare phi.  Negative powers are allowed for r, z, zeta and for any
 parenthesized group whose value is an invertible multiplication operator;
 generator powers must be nonnegative (R^n is reduced mod 2k).  Parentheses
-nest at most MAX_GROUP_DEPTH (200) deep, and an exponent is at most
-MAX_EXPONENT (1024) in size.  Syntax and elaboration errors carry the
+nest at most MAX_GROUP_DEPTH (200) deep, an exponent is at most
+MAX_EXPONENT (1024) in size, and an expression whose orders P in dr and Q in
+dphi could reach more than MAX_DERIVATIVE_TERMS (1025) terms, (P + 1)(Q + 1),
+is refused before it is expanded.  Syntax and elaboration errors carry the
 offending position.
 
 ``pretty`` emits canonically ordered text that re-parses to an equal
@@ -69,6 +71,11 @@ MAX_GROUP_DEPTH = 200
 # Limit on |n| in 'x^n': a power's terms and coefficient degrees grow with n,
 # so a huge exponent would allocate without bound.
 MAX_EXPONENT = 1024
+# Limit on the derivative terms dr^p*dphi^q an expression can expand to: an
+# operator of order P in dr and Q in dphi has up to (P + 1)(Q + 1) of them,
+# and each product multiplies term pairs over a Leibniz grid of that size.
+# dphi^1024 has one term but reaches 1025 = (0 + 1)(1024 + 1).
+MAX_DERIVATIVE_TERMS = 1025
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -216,7 +223,36 @@ def parse(text: str, ctx: FieldCtx | None = None):
     ast = parser.expr()
     if parser.peek()[0] != "end":
         parser.fail("trailing input")
+    _orders(ast, text)
     return ast
+
+
+def _orders(ast, text: str) -> tuple:
+    """(P, Q): bounds on the dr and dphi orders of the node's value; raise
+    ParseError at the first node with (P + 1)(Q + 1) > MAX_DERIVATIVE_TERMS."""
+    kind = ast[0]
+    p = q = 0
+    # loops rather than comprehensions: one frame per level of nesting
+    if kind == "sum":
+        for _, node in ast[1]:
+            dp, dq = _orders(node, text)
+            p, q = max(p, dp), max(q, dq)
+    elif kind == "prod":
+        for node in ast[1]:
+            dp, dq = _orders(node, text)
+            p, q = p + dp, q + dq
+    elif kind == "pow":
+        p, q = _orders(ast[1], text)
+        n = max(ast[2], 0)      # a negative power of a derivative is refused
+        p, q = n * p, n * q
+    elif kind == "group":
+        p, q = _orders(ast[1], text)
+    else:
+        p, q = int(ast[1] == "dr"), int(ast[1] == "dphi")
+    if (p + 1) * (q + 1) > MAX_DERIVATIVE_TERMS:
+        raise ParseError(f"expands to more than {MAX_DERIVATIVE_TERMS} "
+                         f"derivative terms dr^p*dphi^q", ast[-1], text)
+    return p, q
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -235,6 +236,31 @@ def test_deep_nesting_is_a_parse_error():
             [sys.executable, "-m", "dunklops", "norm", "--k", "2", text],
             capture_output=True, text=True, env=env)
         assert proc.returncode == code, proc.stderr[-500:]
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
+def test_power_work_is_a_parse_error():
+    # (dr + r*dphi)^64 ran for over 40 s before the derivative-term limit,
+    # so each child gets a time and an address-space limit
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    refused = "expands to more than 1025 derivative terms"
+    cases = [("(dr + r*dphi)^24", 0, ""), ("dphi^1024", 0, ""),
+             ("dr^1024", 0, ""),
+             ("(dr + r*dphi)^32", 2, refused),
+             ("(dr + r*dphi)^64", 2, refused),
+             ("dphi^1024*dr", 2, refused)]
+    for text, code, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklops", "norm", "--k", "2", text],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_memory)
+        assert proc.returncode == code, (text, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
 

@@ -13,7 +13,7 @@ from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_poly, _divmod_atom, _zp_mul, atomize,
                                 cot_k, factor_unit_binomial, trig)
 from dunklops.cyclofield import CycloScalar, ctx_new
-from dunklops.errors import CoeffError, FieldError
+from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 
 # real-valued reference implementations of each constructor, by kind
 _REFS = {
@@ -396,3 +396,69 @@ def test_kernels_match_the_scalar_reference(k, data):
         inexact = [exact[0] + 1] + exact[1:]
         assert _divmod_atom(ctx, inexact, atom) is None
         assert _ref_divmod_atom(ctx, inexact, atom) is None
+
+
+# ---------------------------------------------------------------------------
+# the canonical form survives every operation
+# ---------------------------------------------------------------------------
+
+
+def _leaves(ctx, data):
+    """Trig kinds at every shift, negative powers of z and polynomials."""
+    out = []
+    for kind in TRIG_KINDS:
+        if kind.startswith("half_") and ctx.k % 2:
+            continue
+        shifts = range(2 * ctx.k) if kind.endswith("_shift") else [0]
+        out += [trig(ctx, kind, j) for j in shifts]
+    out += [ZRat.z_power(ctx, -m) for m in (1, 2, 3)]
+    terms = st.tuples(st.integers(-3, 3), st.integers(0, ctx.N - 1))
+    for _ in range(3):
+        poly = data.draw(st.lists(terms, min_size=1, max_size=4))
+        out.append(ZRat.from_poly(ctx, [c * ctx.root_power(t)
+                                        for c, t in poly]))
+    return out
+
+
+def _assert_canonical(f):
+    """No denominator atom divides the numerator, and trial division by
+    every atom of the denominator gives f back."""
+    for atom, _ in f.den:
+        assert _divmod_atom(f.ctx, list(f.num), atom) is None, (f, atom)
+    assert f == ZRat._make(f.ctx, list(f.num), dict(f.den)), f
+
+
+_BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y,
+           # a sum and the difference back: y's atoms cancel again
+           "+-": lambda x, y: (x + y) - y}
+_UNARY = {"d_phi": ZRat.d_phi, "reflect": ZRat.reflect, "conj": ZRat.conj,
+          "inv": ZRat.inv}
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), data=st.data())
+def test_operations_keep_the_canonical_form(k, data):
+    ctx = ctx_new(k)
+    pool = _leaves(ctx, data)
+    for f in pool:
+        _assert_canonical(f)
+    for _ in range(6):
+        op = data.draw(st.sampled_from(
+            sorted(_BINARY) + sorted(_UNARY) + ["rotate_n"]))
+        x = data.draw(st.sampled_from(pool))
+        if op in _BINARY:
+            y = data.draw(st.sampled_from(pool))
+            out = _BINARY[op](x, y)
+            if op == "+-":
+                _assert_canonical(x + y)
+        elif op == "rotate_n":
+            out = x.rotate_n(data.draw(st.integers(1, 2 * k - 1)))
+        else:
+            try:
+                out = _UNARY[op](x)
+            except (CoeffError, ScalarInversionError):
+                continue          # zero, or a numerator without atoms
+        _assert_canonical(out)
+        assert op != "+-" or out == x
+        pool.append(out)
