@@ -19,7 +19,8 @@ Layers, bottom to top:
   extension, the group-algebra counterterm) for any k, plus documented
   mutations for fail-path testing.
 - ``identities``: the check registry with exact residual reports.
-- ``oracle``: the analytic-on-test-functions numeric second witness.
+- ``oracle``: the analytic-on-test-functions numeric second witness; it is
+  the only module that needs numpy, and it is imported on first use.
 - ``exprparse``: the expression grammar and round-tripping printer.
 - ``cli``: the ``dunklops`` command.
 """
@@ -36,15 +37,29 @@ from .builders import (MUTATIONS, OPERATORS, Mutation, build_counterterm,
                        build_Dphi, build_Dphi_squared_expanded, build_Dr,
                        build_extended_Hk, build_Hk, build_I, build_R,
                        build_reflection_tail, build_S, build_Xk)
-from .identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
-                         applicable, check, run_check, run_suite,
+from .identities import (CHECK_IDS, DEFAULT_CHECK_IDS, DEFAULT_SEED,
+                         CheckReport, applicable, check, run_check, run_suite,
                          shadow_reports)
-from .oracle import (DEFAULT_SEED, OracleReport, SamplePoint, TestFunc,
-                     TestFuncSum, numeric_check, numeric_check_spec)
 from .exprparse import (elaborate, parse, parse_op, pretty,
                         pretty_coefficient, pretty_zrat)
 
 __version__ = "0.1.0"
+
+# The oracle imports numpy, so its names are resolved on first access.
+_ORACLE_NAMES = ("OracleReport", "SamplePoint", "TestFunc", "TestFuncSum",
+                 "numeric_check", "numeric_check_spec")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
+
 
 __all__ = [
     "AlgebraError", "CoeffError", "DunklopsError", "FieldError",

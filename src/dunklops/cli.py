@@ -26,9 +26,8 @@ from .builders import MUTATIONS, OPERATORS
 from .cyclofield import ctx_new, max_k_ceiling
 from .errors import DunklopsError, ParseError
 from .exprparse import parse_op, pretty
-from .identities import run_suite
+from .identities import DEFAULT_SEED, run_suite
 from .opalgebra import commutator
-from .oracle import DEFAULT_SEED, numeric_check
 
 __all__ = ["main", "parse_k_list"]
 
@@ -162,6 +161,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import numeric_check       # loads numpy
     _check_numeric_flags(args)
     ctx = ctx_new(_single_k(args))
     lhs, rhs = _resolve(args.lhs, ctx), _resolve(args.rhs, ctx)

@@ -11,9 +11,10 @@ An operator row states its identity once, as weighted operator chains
 sum(lhs) - sum(rhs) computed with the symbolic product, and the oracle
 module applies the same chains factor by factor to random test functions,
 so the numeric witness never relies on the product routine it is shadowing.
-Only the trigonometric rows (exact atoms against ``math`` lambdas) and
-``hk_two_forms`` (the generic dr against the two cached assemblies) state
-their two sides apart, because their witnesses must differ.
+Only the trigonometric rows (exact atoms against closed forms of arrays of
+angles) and ``hk_two_forms`` (the generic dr against the two cached
+assemblies) state their two sides apart, because their witnesses must
+differ.
 
     >>> check("trig_sec2", 3).status
     'pass'
@@ -29,7 +30,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
-from functools import cached_property
+from functools import cached_property, partial
 
 from .builders import (MUTATIONS, build_counterterm, build_Dphi,
                        build_Dphi_squared_expanded, build_Dr,
@@ -44,9 +45,11 @@ from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
 from .opalgebra import OpExpr, op_I, op_R, op_coeff, op_dr, op_one, op_zero
 
-__all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "check",
-           "run_check", "run_suite", "shadow_reports", "iter_rows",
+__all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
+           "check", "run_check", "run_suite", "shadow_reports", "iter_rows",
            "applicable", "operator_set", "OperatorSet"]
+
+DEFAULT_SEED = 20260815         # the oracle's sampling seed (re-exported there)
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 # which is what iter_rows makes of every row:
 #   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
 #   numeric_fn()  -> (kind, lhs, rhs) with plain chains, or
-#                    ("angle", f, g), f/g: callable(phi: float) -> float
+#                    ("angle-array", f, g), f/g: phi array -> value array
 
 
 def _equal(lhs: list, rhs: list, kind: str = "ops"):
@@ -252,9 +255,18 @@ def _rows_dr_dphi_commutator(ops: OperatorSet):
     ]
 
 
+def _on_arrays(fn):
+    """``fn`` of one float (a ``math`` function or ``pow``) applied to every
+    element of an array, in a C loop.  numpy's own tan and power differ from
+    the C library in the last bit on some inputs; the rows keep the C
+    library's rounding, so the oracle's worst deviations stay as they were."""
+    import numpy as np
+    return lambda x: np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
 def _rows_shifted_sum(ops: OperatorSet, shift_kind: str, target, h, p: int):
     """sum_i f(phi + i pi/k) = k^p f(k phi) for f = 1/h^p; ``target(ctx)``
-    is the exact f(k phi)."""
+    is the exact f(k phi), ``h`` a ``math`` function."""
     ctx, k = ops.ctx, ops.ctx.k
 
     def residual():
@@ -264,10 +276,12 @@ def _rows_shifted_sum(ops: OperatorSet, shift_kind: str, target, h, p: int):
         return total - ctx.scalar(k ** p) * target(ctx)
 
     def numeric():
-        lhs = lambda phi: sum(1.0 / h(phi + i * math.pi / k) ** p
+        h_arr, power = _on_arrays(h), _on_arrays(partial(pow, exp=p))
+        hp = lambda x: power(h_arr(x))
+        lhs = lambda phi: sum(1.0 / hp(phi + i * math.pi / k)
                               for i in range(k))
-        rhs = lambda phi: k ** p / h(k * phi) ** p
-        return ("angle", lhs, rhs)
+        rhs = lambda phi: k ** p / hp(k * phi)
+        return ("angle-array", lhs, rhs)
 
     return [("[sum]", residual, numeric)]
 
@@ -292,8 +306,9 @@ def _rows_trig_pair_family(ops: OperatorSet, first: str, second: str,
             return total - ctx.scalar(target)
 
         def numeric(j=j):
-            base = {"tan_shift": math.tan,
-                    "cot_shift": lambda x: 1.0 / math.tan(x)}
+            import numpy as np
+            tan = _on_arrays(math.tan)
+            base = {"tan_shift": tan, "cot_shift": lambda x: 1.0 / tan(x)}
             f, g = base[first], base[second]
 
             def lhs(phi):
@@ -307,7 +322,8 @@ def _rows_trig_pair_family(ops: OperatorSet, first: str, second: str,
                                   * f(phi + (i + 2 * j) * math.pi / k))
                 return total
 
-            return ("angle", lhs, lambda phi: float(target))
+            return ("angle-array", lhs,
+                    lambda phi: np.full(len(phi), float(target)))
 
         rows.append((f"[j={j}]", residual, numeric))
     return rows
@@ -321,10 +337,12 @@ def _rows_trig_half_angle(ops: OperatorSet):
                 - ctx.scalar(2) * trig(ctx, "sec2_k"))
 
     def numeric():
-        lhs = lambda phi: (1.0 / (1.0 - math.sin(k * phi))
-                           + 1.0 / (1.0 + math.sin(k * phi)))
-        rhs = lambda phi: 2.0 / math.cos(k * phi) ** 2
-        return ("angle", lhs, rhs)
+        sin, cos = _on_arrays(math.sin), _on_arrays(math.cos)
+        square = _on_arrays(partial(pow, exp=2))
+        lhs = lambda phi: (1.0 / (1.0 - sin(k * phi))
+                           + 1.0 / (1.0 + sin(k * phi)))
+        rhs = lambda phi: 2.0 / square(cos(k * phi))
+        return ("angle-array", lhs, rhs)
 
     return [("[sum]", residual, numeric)]
 
@@ -598,7 +616,7 @@ def shadow_reports(check_id: str, k: int, mutation: str | None = None,
     run through the oracle on ``trials`` random samples.  The report ids are
     prefixed "oracle:"; ``residual_term_count`` carries the number of trials
     whose relative deviation exceeded ``tol``."""
-    from .oracle import DEFAULT_SEED, numeric_check_spec
+    from .oracle import numeric_check_spec      # loads numpy
     if seed is None:
         seed = DEFAULT_SEED
     reports = []

@@ -22,11 +22,20 @@ d/dphi order of the operator chain being applied.  On that table
   truncated Leibniz product with the jet of u, shifts d by m and scales by
   the parameter values.
 
-The jet of u is computed once per batch from its numerator and from each
-denominator atom (z, z - zeta^t, z^2 - zeta^t) separately, with zeta^t
-embedded as a complex number.  No exact ring operation, normal ordering or
-operator product runs here, so a defect in the exact engine cannot reach
-this witness.
+The jet of u is computed from its numerator and from each denominator atom
+(z, z - zeta^t, z^2 - zeta^t) separately, with zeta^t embedded as a complex
+number.  A factor that leaves L orders of the state reads only L orders of
+its coefficients, so each coefficient weight is built to the orders its
+place in the chain reads, mostly order 0 alone.  Per batch, the atom jets
+(to order J), the denominator jets and the coefficient weights are kept, each
+the longest built so far, and a shorter request gets a prefix: the first L
+orders of a jet do not depend on the later ones.  No exact ring operation,
+normal ordering or operator product runs here, so a defect in the exact
+engine cannot reach this witness.
+
+This is the only module of the package that imports numpy; ``dunklops``
+loads it on first use (``shadow_reports``, ``dunklops oracle`` or one of the
+names below).
 
 ``numeric_check`` / ``numeric_check_spec`` evaluate all trials as numpy
 columns; this is what the verification suite's numeric shadow uses.
@@ -51,6 +60,7 @@ import numpy as np
 from .coeffring import ATOM_Z
 from .cyclofield import FieldCtx, ctx_new
 from .errors import OracleError
+from .identities import DEFAULT_SEED
 from .opalgebra import OpExpr, op_dphi
 
 __all__ = [
@@ -59,7 +69,6 @@ __all__ = [
     "random_test_func", "random_sample_point", "DEFAULT_SEED",
 ]
 
-DEFAULT_SEED = 20260815
 _DEGENERATE = 1e-6
 _MARGIN = 0.05
 _MAX_ROUNDS = 50
@@ -190,17 +199,20 @@ def _leibniz(u, a):
     return out
 
 
+def _is_jet(w) -> bool:
+    return isinstance(w, np.ndarray) and w.ndim == 4
+
+
 def _times(w, a):
     """A weight (jet or phi-constant) times a jet."""
-    if isinstance(w, np.ndarray) and w.ndim == 4:
+    if _is_jet(w):
         return _leibniz(w, a)
     return w * a
 
 
 def _plus(x, y):
     """Sum of two weights, either of which may be phi-constant."""
-    x_jet = isinstance(x, np.ndarray) and x.ndim == 4
-    y_jet = isinstance(y, np.ndarray) and y.ndim == 4
+    x_jet, y_jet = _is_jet(x), _is_jet(y)
     if x_jet == y_jet:
         return x + y
     if y_jet:
@@ -301,29 +313,37 @@ class _Batch:
             arr = self._ppow[key] = self.a ** al * self.b ** be * self.w2 ** ga
         return arr
 
-    def _fourier_jet(self, coeffs: dict):
-        """The jet of sum_j coeffs[j] z^j, coefficients numbers or [T]."""
-        orders = np.arange(self.J + 1)[:, None, None, None]
-        out = np.zeros((self.J + 1,) + self._x.shape, complex)
+    def _fourier_jet(self, coeffs: dict, L: int):
+        """The first L orders of the jet of sum_j coeffs[j] z^j, coefficients
+        numbers or [T]."""
+        orders = np.arange(L)[:, None, None, None]
+        out = np.zeros((L,) + self._x.shape, complex)
         for j, cj in coeffs.items():
             out += (1j * j) ** orders * (cj * self.zpow(j))
         return np.ascontiguousarray(np.moveaxis(out, 0, 2))
 
+    def _longest(self, key, L: int, build):
+        """The first L orders of the jet cached under ``key``; ``build(L)``
+        replaces the cached jet when it is shorter than that."""
+        jet = self._jets.get(key)
+        if jet is None or jet.shape[2] < L:
+            jet = self._jets[key] = build(L)
+        return jet if jet.shape[2] == L else jet[:, :, :L]
+
     def initial(self):
         """The jet of P, the angular factor of the test functions."""
-        jet = self._jets.get("P")
-        if jet is None:
-            jet = self._jets["P"] = self._fourier_jet(self.P)
-        return jet
+        return self._longest("P", self.J + 1,
+                             lambda L: self._fourier_jet(self.P, L))
 
     def _atom_inverse(self, atom):
-        """The jet of 1 / atom: z^-1, 1 / (z - zeta^t) or 1 / (z^2 - zeta^t)."""
+        """The jet of 1 / atom: z^-1, 1 / (z - zeta^t) or 1 / (z^2 - zeta^t),
+        to order J."""
         key = ("atom", atom)
         q = self._jets.get(key)
         if q is not None:
             return q
         if atom == ATOM_Z:
-            q = self._fourier_jet({-1: 1.0})
+            q = self._fourier_jet({-1: 1.0}, self.J + 1)
         else:
             deg = 2 if atom[0] == "quad" else 1
             zd = self.zpow(deg)
@@ -340,46 +360,47 @@ class _Batch:
         self._jets[key] = q
         return q
 
-    def coefficient(self, u):
-        """The jet of a ZRat, or its value if it does not depend on phi."""
+    def coefficient(self, u, L: int):
+        """The first L orders of the jet of a ZRat, or its value if it does
+        not depend on phi.  Not cached: ``weights`` keeps the sums."""
         if not u.den and len(u.num) <= 1:
             return complex(u.num[0]) if u.num else 0j
-        jet = self._jets.get(u)
-        if jet is None:
-            jet = self._fourier_jet({j: complex(c) for j, c in enumerate(u.num)
-                                     if not c.is_zero()})
-            if u.den:
-                jet = _leibniz(self._denominator(u.den), jet)
-            self._jets[u] = jet
+        jet = self._fourier_jet({j: complex(c) for j, c in enumerate(u.num)
+                                 if not c.is_zero()}, L)
+        if u.den:
+            jet = _leibniz(self._denominator(u.den, L), jet)
         return jet
 
-    def _denominator(self, den: tuple):
-        """The jet of 1 / den, multiplied together atom by atom (expanding
-        the product first would lose precision)."""
-        key = ("den", den)
-        jet = self._jets.get(key)
-        if jet is None:
+    def _denominator(self, den: tuple, L: int):
+        """The first L orders of the jet of 1 / den, multiplied together
+        atom by atom (expanding the product first would lose precision)."""
+        def build(L):
+            jet = None
             for atom, mult in den:
+                q = self._atom_inverse(atom)[:, :, :L]
                 for _ in range(mult):
-                    q = self._atom_inverse(atom)
                     jet = q if jet is None else _leibniz(q, jet)
-            self._jets[key] = jet
-        return jet
+            return jet
 
-    def weights(self, coeff) -> dict:
+        return self._longest(("den", den), L, build)
+
+    def weights(self, coeff, L: int) -> dict:
         """m -> the weight of r^m in a Coefficient, its a, b, w2 monomials
-        summed at the sampled parameter values."""
-        out = self._weights.get(coeff)
-        if out is None:
+        summed at the sampled parameter values; jets to L orders."""
+        cached = self._weights.get(coeff)
+        if cached is None or cached[0] < L:
             out = {}
             for (m, al, be, ga), u in coeff.terms.items():
-                part = self.coefficient(u)
+                part = self.coefficient(u, L)
                 fac = self.ppow(al, be, ga)
                 if fac is not None:
                     part = part * fac
                 out[m] = part if m not in out else _plus(out[m], part)
-            self._weights[coeff] = out
-        return out
+            cached = self._weights[coeff] = (L, out)
+        if cached[0] == L:
+            return cached[1]
+        return {m: w[:, :, :L] if _is_jet(w) else w
+                for m, w in cached[1].items()}
 
 
 def _add(out: dict, d: int, jet):
@@ -409,7 +430,7 @@ def _apply(op: OpExpr, state: dict, L: int, batch: _Batch) -> dict:
                 _add(nxt, d - 1, (batch.s + d) * jet)
                 _add(nxt, d + 1, (2.0 * batch.c) * jet)
             st = nxt
-        for m, w in batch.weights(coeff).items():
+        for m, w in batch.weights(coeff, L_out).items():
             for d, jet in st.items():
                 _add(out, d + m, _times(w, jet))
     return out
@@ -479,13 +500,13 @@ def _run_ops(ctx, lhs, rhs, trials, tol, seed, invariant) -> OracleReport:
 
 
 def _run_angle(k, f, g, trials, tol, seed) -> OracleReport:
+    """f and g map an array of angles to the array of their values."""
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, math.pi / (2 * k), trials)
     for _ in range(_MAX_ROUNDS):
         bad = ((np.abs(np.sin(k * phi)) < _MARGIN)
                | (np.abs(np.cos(k * phi)) < _MARGIN))
-        lv = np.array([f(x) for x in phi])
-        rv = np.array([g(x) for x in phi])
+        lv, rv = f(phi), g(phi)
         scale = np.maximum(np.abs(lv), np.abs(rv))
         bad |= scale < _DEGENERATE
         n_bad = int(bad.sum())
@@ -495,6 +516,10 @@ def _run_angle(k, f, g, trials, tol, seed) -> OracleReport:
     else:  # pragma: no cover - constants on one side keep the scale up
         raise OracleError("sample kept degenerating after redraws")
     return _finish(lv, rv, scale, trials, tol, seed)
+
+
+def _per_angle(f):
+    return lambda phi: np.array([f(x) for x in phi])
 
 
 def numeric_check(lhs: OpExpr, rhs: OpExpr, trials: int = 100,
@@ -513,12 +538,16 @@ def numeric_check_spec(spec, k: int, trials: int = 100, tol: float = 1e-9,
                        seed: int = DEFAULT_SEED) -> OracleReport:
     """Run one numeric specification as produced by the suite rows:
     ("ops", lhs, rhs), ("ops-invariant", lhs, rhs) with lists of weighted
-    operator chains, or ("angle", f, g) with plain callables of phi."""
+    operator chains, ("angle-array", f, g) with callables of an array of
+    angles, or ("angle", f, g) with plain callables of one angle."""
     if trials < 1:
         raise OracleError("trials must be at least 1")
     kind = spec[0]
-    if kind == "angle":
-        return _run_angle(k, spec[1], spec[2], trials, tol, seed)
+    if kind in ("angle", "angle-array"):
+        f, g = spec[1], spec[2]
+        if kind == "angle":
+            f, g = _per_angle(f), _per_angle(g)
+        return _run_angle(k, f, g, trials, tol, seed)
     if kind in ("ops", "ops-invariant"):
         ctx = ctx_new(k)
         return _run_ops(ctx, spec[1], spec[2], trials, tol, seed,

@@ -265,6 +265,27 @@ def test_power_work_is_a_parse_error():
         assert message in proc.stderr
 
 
+def test_numpy_loads_only_with_the_oracle():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import dunklops",
+        "assert 'numpy' not in sys.modules, 'loaded by the import'",
+        "from dunklops import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['verify', '--k', '2', '--json']) == 0",
+        "assert 'numpy' not in sys.modules, 'loaded by verify'",
+        "assert dunklops.numeric_check is dunklops.oracle.numeric_check",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunklops", "verify", "--k", "2", "--oracle"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-500:]
+
+
 # Names, literals and trig sugar of the grammar, plus a few tokens that are
 # valid only in other places, so that error paths are drawn too.
 _LEAVES = ("a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S",

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk, build_R
 from dunklops.coeffring import ZRat, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
-from dunklops.identities import iter_rows, shadow_reports
+from dunklops.identities import (OperatorSet, iter_rows, operator_set,
+                                 shadow_reports)
 from dunklops.opalgebra import (commutator, op_coeff, op_I, op_R, op_dphi,
                                 op_dr)
 from dunklops.oracle import (DEFAULT_SEED, OracleReport, SamplePoint,
-                             TestFunc, TestFuncSum, apply, f_value,
+                             TestFunc, TestFuncSum, _Batch, apply, f_value,
                              numeric_check, numeric_check_spec,
                              random_sample_point, random_test_func)
 
@@ -353,3 +355,27 @@ def test_no_oracle_state_outlives_a_call():
     reports = shadow_reports("integral_commutes", 3)
     assert reports and all(r.status == "pass" for r in reports)
     assert len(ctx_new(3).oracle_cache) == 0
+
+
+def test_weights_to_L_orders_are_prefixes_of_the_full_jets():
+    """A weight asked for L orders is bit for bit the first L orders of the
+    weight to order J, also after shorter ones were built and cached."""
+    J = 4
+    for k in (3, 4):
+        ops = operator_set(k)
+        names = [n for n, v in vars(OperatorSet).items()
+                 if isinstance(v, cached_property) and (n != "S" or k % 2 == 0)]
+        coeffs = {c for n in names for c in getattr(ops, n).terms.values()}
+        draw = lambda: _Batch.draw(np.random.default_rng(k), 7, ops.ctx, J,
+                                   invariant=False)
+        full, growing = draw(), draw()
+        for coeff in coeffs:
+            ref = full.weights(coeff, J + 1)
+            for L in range(1, J + 2):
+                got = growing.weights(coeff, L)
+                assert got.keys() == ref.keys()
+                for m, w in ref.items():
+                    if isinstance(w, np.ndarray) and w.ndim == 4:
+                        assert np.array_equal(got[m], w[:, :, :L]), (k, L)
+                    else:
+                        assert np.array_equal(got[m], w), (k, L)
