@@ -29,7 +29,11 @@ into one unreduced row of zeta-powers per output power of z, and reduces each
 row modulo Phi_N once.  Trial division by z^d - zeta^s lifts the coefficients
 into Z[x]/(x^N - 1), where multiplying by zeta^s is a cyclic shift of the row
 by s; it reduces modulo Phi_N only the remainder, to test exactness, and the
-quotient only when the division is exact.
+quotient only when the division is exact.  A product of atoms (the cofactor
+that brings a summand to the common denominator, a dense denominator, the
+products in d_phi) needs no convolution either: each factor z^d - zeta^s
+shifts the rows by d and subtracts the rows times zeta^s, read from the
+reduced power table, so the rows stay reduced integer rows throughout.
 
 A ``Coefficient`` is a polynomial in the radial variable r (integer, possibly
 negative, powers), the two reflection multiplicities a and b, and the squared
@@ -141,21 +145,30 @@ def _atom_sort_key(atom):
     return (1 if kind == "lin" else 2, s)
 
 
-def _atom_poly(ctx: FieldCtx, atom) -> list:
-    cached = ctx.atom_poly_cache.get(atom)
-    if cached is None:
-        if atom == ATOM_Z:
-            cached = [ctx.zero(), ctx.one()]
-        elif atom[0] == "lin":
-            cached = [-ctx.root_power(atom[1]), ctx.one()]
-        else:
-            cached = [-ctx.root_power(atom[1]), ctx.zero(), ctx.one()]
-        ctx.atom_poly_cache[atom] = cached
-    return cached
-
-
 def _atom_degree(atom) -> int:
     return 2 if atom[0] == "quad" else 1
+
+
+def _atom_product(ctx: FieldCtx, atoms) -> list:
+    """The dense product of ``atoms``, an atom repeated for each power."""
+    deg, N, sparse = ctx.deg, ctx.N, ctx._sparse_powers
+    rows = [[1] + [0] * (deg - 1)]
+    for atom in atoms:
+        if atom == ATOM_Z:
+            rows.insert(0, [0] * deg)
+            continue
+        # times z^d - zeta^s: out[j] = rows[j - d] - zeta^s rows[j].  out
+        # shares the rows it shifts, and row j is read before out[j + d],
+        # which is the same list, is written.
+        s = atom[1]
+        out = [[0] * deg for _ in range(_atom_degree(atom))] + rows
+        for row, acc in zip(rows, out):
+            for t, v in enumerate(row):
+                if v:
+                    for i, c in sparse[(s + t) % N]:
+                        acc[i] -= v * c
+        rows = out
+    return [CycloScalar(ctx, tuple(row)) for row in rows]
 
 
 def _add_atom(ctx: FieldCtx, atoms: dict, atom, mult: int = 1) -> None:
@@ -351,12 +364,8 @@ class ZRat:
     def den_poly(self) -> list:
         """The monic dense denominator (product of the atoms)."""
         if self._den_poly is None:
-            out = [self.ctx.one()]
-            for atom, mult in self.den:
-                ap = _atom_poly(self.ctx, atom)
-                for _ in range(mult):
-                    out = _zp_mul(self.ctx, out, ap)
-            self._den_poly = out
+            self._den_poly = _atom_product(
+                self.ctx, [a for a, m in self.den for _ in range(m)])
         return self._den_poly
 
     def den_degree(self) -> int:
@@ -396,14 +405,11 @@ class ZRat:
 
         def to_lcm(num, mine):
             # num times the atoms lcm has beyond mine (often none)
-            cof = None
-            for a, m in lcm.items():
-                extra = m - mine.get(a, 0)
-                if extra:
-                    ap = _atom_poly(ctx, a)
-                    for _ in range(extra):
-                        cof = ap if cof is None else _zp_mul(ctx, cof, ap)
-            return list(num) if cof is None else _zp_mul(ctx, num, cof)
+            extra = [a for a, m in lcm.items()
+                     for _ in range(m - mine.get(a, 0))]
+            if not extra:
+                return list(num)
+            return _zp_mul(ctx, num, _atom_product(ctx, extra))
         num = _zp_add(ctx, to_lcm(self.num, sden), to_lcm(o.num, oden))
         # Only an atom with the same multiplicity in both denominators can
         # cancel: otherwise the sum is, mod that atom, the operand with the
@@ -561,19 +567,15 @@ class ZRat:
                 ctx, _zp_shift(ctx, _zp_scale(nprime, iz), 1), {})
         # f = N / prod a^e :  f' = (N' A - N B) / (A prod a^e)
         # with A = prod over distinct atoms, B = sum_a e_a a' A/a
+        # and a' = d z^(d - 1) for an atom z^d - zeta^s or z
         distinct = [a for a, _ in self.den]
-        A = [ctx.one()]
-        for a in distinct:
-            A = _zp_mul(ctx, A, _atom_poly(ctx, a))
+        A = _atom_product(ctx, distinct)
         B: list = []
         for a, mult in self.den:
-            other = [ctx.one()]
-            for b in distinct:
-                if b != a:
-                    other = _zp_mul(ctx, other, _atom_poly(ctx, b))
-            aprime = _zp_deriv(ctx, _atom_poly(ctx, a))
-            part = _zp_scale(_zp_mul(ctx, aprime, other), ctx.scalar(mult))
-            B = _zp_add(ctx, B, part)
+            d = _atom_degree(a)
+            other = _atom_product(ctx, [b for b in distinct if b != a])
+            part = _zp_shift(ctx, other, d - 1)
+            B = _zp_add(ctx, B, _zp_scale(part, ctx.scalar(d * mult)))
         num = _zp_add(ctx, _zp_mul(ctx, nprime, A),
                       _zp_neg(_zp_mul(ctx, list(self.num), B)))
         num = _zp_shift(ctx, _zp_scale(num, iz), 1)

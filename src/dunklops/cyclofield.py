@@ -188,11 +188,9 @@ class FieldCtx:
         self._zero = CycloScalar(self, (0,) * self.deg)
         self._one = CycloScalar(self, powers[0])
 
-        # shared memo tables used by the coefficient ring; the oracle keeps
-        # its numbers on each batch, so oracle_cache stays empty (perfbench
-        # reports its size)
+        # the trig constructors' memo table; the oracle keeps its numbers on
+        # each batch, so oracle_cache stays empty (perfbench reports its size)
         self.trig_cache: dict = {}
-        self.atom_poly_cache: dict = {}
         self.oracle_cache: dict = {}
 
     # -- scalar constructors -------------------------------------------------

@@ -335,30 +335,27 @@ class _Batch:
         return self._longest("P", self.J + 1,
                              lambda L: self._fourier_jet(self.P, L))
 
-    def _atom_inverse(self, atom):
-        """The jet of 1 / atom: z^-1, 1 / (z - zeta^t) or 1 / (z^2 - zeta^t),
-        to order J."""
-        key = ("atom", atom)
-        q = self._jets.get(key)
-        if q is not None:
-            return q
-        if atom == ATOM_Z:
-            q = self._fourier_jet({-1: 1.0}, self.J + 1)
-        else:
+    def _atom_inverse(self, atom, L: int):
+        """The first L orders of the jet of 1 / atom: z^-1, 1 / (z - zeta^t)
+        or 1 / (z^2 - zeta^t).  Order m reads only the lower orders."""
+        def build(L):
+            if atom == ATOM_Z:
+                return self._fourier_jet({-1: 1.0}, L)
             deg = 2 if atom[0] == "quad" else 1
             zd = self.zpow(deg)
-            q = np.empty((2, 2 * self.ctx.k, self.J + 1, self.T), complex)
+            q = np.empty((2, 2 * self.ctx.k, L, self.T), complex)
             q0 = 1.0 / (zd - self.ctx.unit_embed(atom[1]))
             q[:, :, 0] = q0
             # (atom * q)^(m) = 0 for m >= 1, with atom^(i) = (i deg)^i z^deg
-            for m in range(1, self.J + 1):
+            for m in range(1, L):
                 acc = 0
                 for i in range(1, m + 1):
                     acc = acc + (math.comb(m, i) * (1j * deg) ** i) \
                         * q[:, :, m - i]
                 q[:, :, m] = -q0 * zd * acc
-        self._jets[key] = q
-        return q
+            return q
+
+        return self._longest(("atom", atom), L, build)
 
     def coefficient(self, u, L: int):
         """The first L orders of the jet of a ZRat, or its value if it does
@@ -377,7 +374,7 @@ class _Batch:
         def build(L):
             jet = None
             for atom, mult in den:
-                q = self._atom_inverse(atom)[:, :, :L]
+                q = self._atom_inverse(atom, L)
                 for _ in range(mult):
                     jet = q if jet is None else _leibniz(q, jet)
             return jet

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dunklops._rat import RAT
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
-                                _atom_poly, _divmod_atom, _zp_mul, atomize,
+                                _atom_product, _divmod_atom, _zp_mul, atomize,
                                 cot_k, factor_unit_binomial, trig)
 from dunklops.cyclofield import CycloScalar, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
@@ -316,6 +316,14 @@ def _ref_mul(ctx, a, b):
     return _ref_trim(out)
 
 
+def _ref_atom_poly(ctx, atom):
+    if atom == ATOM_Z:
+        return [ctx.zero(), ctx.one()]
+    if atom[0] == "lin":
+        return [-ctx.root_power(atom[1]), ctx.one()]
+    return [-ctx.root_power(atom[1]), ctx.zero(), ctx.one()]
+
+
 def _ref_divmod_atom(ctx, poly, atom):
     """Synthetic division by the atom over CycloScalar; None if inexact."""
     if not poly:
@@ -389,13 +397,21 @@ def test_kernels_match_the_scalar_reference(k, data):
 
     q = _ref_trim(_draw_poly(data, ctx, min_size=1))
     if q:
-        exact = _ref_mul(ctx, _atom_poly(ctx, atom), q)
+        exact = _ref_mul(ctx, _ref_atom_poly(ctx, atom), q)
         assert _exact(_divmod_atom(ctx, exact, atom)) == _exact(q)
         assert _exact(_ref_divmod_atom(ctx, exact, atom)) == _exact(q)
         # adding 1 leaves a nonzero remainder
         inexact = [exact[0] + 1] + exact[1:]
         assert _divmod_atom(ctx, inexact, atom) is None
         assert _ref_divmod_atom(ctx, inexact, atom) is None
+
+    # a product of atoms, repeats included, in any order
+    atoms = [_draw_atom(data, ctx)
+             for _ in range(data.draw(st.integers(0, 12)))]
+    prod = [ctx.one()]
+    for atom in atoms:
+        prod = _ref_mul(ctx, prod, _ref_atom_poly(ctx, atom))
+    assert _exact(_atom_product(ctx, atoms)) == _exact(prod)
 
 
 # ---------------------------------------------------------------------------
