@@ -26,10 +26,10 @@ The jet of u is computed from its numerator and from each denominator atom
 (z, z - zeta^t, z^2 - zeta^t) separately, with zeta^t embedded as a complex
 number.  A factor that leaves L orders of the state reads only L orders of
 its coefficients, so each coefficient weight is built to the orders its
-place in the chain reads, mostly order 0 alone.  Per batch, the atom jets
-(to order J), the denominator jets and the coefficient weights are kept, each
-the longest built so far, and a shorter request gets a prefix: the first L
-orders of a jet do not depend on the later ones.  No exact ring operation,
+place in the chain reads, mostly order 0 alone.  Per batch, the atom jets,
+the denominator jets and the coefficient weights are kept, each the longest
+built so far, and a shorter request gets a prefix: the first L orders of a
+jet do not depend on the later ones.  No exact ring operation,
 normal ordering or operator product runs here, so a defect in the exact
 engine cannot reach this witness.
 
