@@ -45,13 +45,18 @@ def test_verify_text_mode(capsys):
 
 
 def test_verify_json_matches_golden(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--k", "2", "--json")
-    assert code == 0
-    got = json.loads(out)
-    for row in got:
-        row["elapsed_ms"] = 0
-    expect = json.loads((GOLDEN / "verify_k2.json").read_text())
-    assert got == expect
+    # the mutated runs pin the printed residual samples of failing rows
+    for args, golden, want in (
+            (["--k", "2"], "verify_k2.json", 0),
+            (["--k", "3", "--mutate", "b-shift"], "verify_k3_b_shift.json", 1),
+            (["--k", "4", "--mutate", "dr-drop"], "verify_k4_dr_drop.json", 1)):
+        code, out, _ = run_cli(capsys, "verify", *args, "--json")
+        assert code == want, args
+        got = json.loads(out)
+        for row in got:
+            row["elapsed_ms"] = 0
+        expect = json.loads((GOLDEN / golden).read_text())
+        assert got == expect, args
 
 
 def test_verify_out_file(tmp_path, capsys):
