@@ -22,18 +22,22 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     rotate_n, reflect, conj, neg   none (they map canonical forms to
                  canonical forms)
 
-The numerator kernels work on the coordinate tuples of the coefficients, not
-on ``CycloScalar`` objects, and build scalars only for the coefficients they
-return.  Operands are sparse, so a product convolves only nonzero coordinates,
-into one unreduced row of zeta-powers per output power of z, and reduces each
-row modulo Phi_N once.  Trial division by z^d - zeta^s lifts the coefficients
-into Z[x]/(x^N - 1), where multiplying by zeta^s is a cyclic shift of the row
-by s; it reduces modulo Phi_N only the remainder, to test exactness, and the
-quotient only when the division is exact.  A product of atoms (the cofactor
+The numerator ``num`` is a tuple of coordinate rows, one per power of z and
+no trailing zero row; each row is the ``canon_row`` of a scalar's power-basis
+coordinates.  The kernels take and return rows; a ``CycloScalar`` is built
+only at the boundary, where a field inverse, conjugation or an outside reader
+needs one.  Operands are sparse, so a product convolves only nonzero
+coordinates, into one unreduced row of zeta-powers per output power of z, and
+reduces each row modulo Phi_N once.  Trial division by z^d - zeta^s lifts the
+rows into Z[x]/(x^N - 1), where multiplying by zeta^s is a cyclic shift of the
+row by s; it reduces modulo Phi_N only the remainder, to test exactness, and
+the quotient only when the division is exact.  A product of atoms (the cofactor
 that brings a summand to the common denominator, a dense denominator, the
 products in d_phi) needs no convolution either: each factor z^d - zeta^s
 shifts the rows by d and subtracts the rows times zeta^s, read from the
-reduced power table, so the rows stay reduced integer rows throughout.
+reduced power table, so the rows stay reduced integer rows throughout.  The
+same zeta^m * row product multiplies by the units of rotate_n, reflect and
+d_phi.
 
 A ``Coefficient`` is a polynomial in the radial variable r (integer, possibly
 negative, powers), the two reflection multiplicities a and b, and the squared
@@ -54,38 +58,38 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._rat import RAT
-from .cyclofield import CycloScalar, FieldCtx
+from .cyclofield import CycloScalar, FieldCtx, canon_row
 from .errors import CoeffError, FieldError, ScalarInversionError
 
 # ---------------------------------------------------------------------------
-# dense polynomials over CycloScalar (low degree first, no trailing zeros)
+# dense polynomials over coordinate rows (low degree first, no trailing zeros)
 # ---------------------------------------------------------------------------
 
 
 def _zp_trim(p: list) -> list:
-    while p and p[-1].is_zero():
+    while p and not any(p[-1]):
         p.pop()
     return p
 
 
-def _zp_add(ctx: FieldCtx, a: list, b: list) -> list:
+def _zp_add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
+    for i, row in enumerate(b):
+        out[i] = canon_row([x + y for x, y in zip(out[i], row)])
     return _zp_trim(out)
 
 
 def _zp_neg(p: list) -> list:
-    return [-c for c in p]
+    return [tuple(-v for v in row) for row in p]
 
 
 def _nonzero_rows(p) -> list:
-    """(z-power, [(zeta-power, coordinate), ...]) for each nonzero coefficient."""
+    """(z-power, [(zeta-power, coordinate), ...]) for each nonzero row."""
     out = []
-    for i, c in enumerate(p):
-        row = [(t, v) for t, v in enumerate(c.coeffs) if v]
+    for i, row in enumerate(p):
+        row = [(t, v) for t, v in enumerate(row) if v]
         if row:
             out.append((i, row))
     return out
@@ -105,27 +109,36 @@ def _zp_mul(ctx: FieldCtx, a, b) -> list:
             for s, x in ra:
                 for t, y in rb:
                     row[s + t] += x * y
-    zero = ctx.zero()
-    return _zp_trim([zero if row is None
-                     else CycloScalar(ctx, tuple(ctx.reduce_row(row)))
+    zero = (0,) * ctx.deg
+    return _zp_trim([zero if row is None else canon_row(ctx.reduce_row(row))
                      for row in rows])
-
-
-def _zp_scale(p: list, c: CycloScalar) -> list:
-    if c.is_zero():
-        return []
-    return [x * c for x in p]
 
 
 def _zp_shift(ctx: FieldCtx, p: list, m: int) -> list:
     """Multiply by z^m, m >= 0."""
     if not p:
         return []
-    return [ctx.zero()] * m + list(p)
+    return [(0,) * ctx.deg] * m + list(p)
 
 
-def _zp_deriv(ctx: FieldCtx, p: list) -> list:
-    return _zp_trim([p[j] * ctx.scalar(j) for j in range(1, len(p))])
+def _zp_deriv(p: list) -> list:
+    return _zp_trim([canon_row([j * v for v in p[j]])
+                     for j in range(1, len(p))])
+
+
+def _add_zeta_times(ctx: FieldCtx, out: list, m: int, row) -> list:
+    """out += zeta^m * row, read from the reduced power table; returns out."""
+    N, sparse = ctx.N, ctx._sparse_powers
+    for t, v in enumerate(row):
+        if v:
+            for i, c in sparse[(m + t) % N]:
+                out[i] += v * c
+    return out
+
+
+def _zeta_times(ctx: FieldCtx, m: int, row) -> tuple:
+    """zeta^m * row, as a canonical row."""
+    return canon_row(_add_zeta_times(ctx, [0] * ctx.deg, m, row))
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +164,21 @@ def _atom_degree(atom) -> int:
 
 def _atom_product(ctx: FieldCtx, atoms) -> list:
     """The dense product of ``atoms``, an atom repeated for each power."""
-    deg, N, sparse = ctx.deg, ctx.N, ctx._sparse_powers
+    deg = ctx.deg
     rows = [[1] + [0] * (deg - 1)]
     for atom in atoms:
         if atom == ATOM_Z:
             rows.insert(0, [0] * deg)
             continue
-        # times z^d - zeta^s: out[j] = rows[j - d] - zeta^s rows[j].  out
-        # shares the rows it shifts, and row j is read before out[j + d],
+        # times z^d - zeta^s: out[j] = rows[j - d] + zeta^(s + N/2) rows[j].
+        # out shares the rows it shifts, and row j is read before out[j + d],
         # which is the same list, is written.
-        s = atom[1]
+        minus = atom[1] + ctx.N // 2
         out = [[0] * deg for _ in range(_atom_degree(atom))] + rows
         for row, acc in zip(rows, out):
-            for t, v in enumerate(row):
-                if v:
-                    for i, c in sparse[(s + t) % N]:
-                        acc[i] -= v * c
+            _add_zeta_times(ctx, acc, minus, row)
         rows = out
-    return [CycloScalar(ctx, tuple(row)) for row in rows]
+    return [tuple(row) for row in rows]
 
 
 def _add_atom(ctx: FieldCtx, atoms: dict, atom, mult: int = 1) -> None:
@@ -220,7 +230,7 @@ def _divmod_atom(ctx: FieldCtx, poly: list, atom):
     if not poly:
         return []
     if atom == ATOM_Z:
-        if poly[0].is_zero():
+        if not any(poly[0]):
             return poly[1:]
         return None
     # synthetic division by z^d - zeta^s on coefficients lifted to
@@ -234,19 +244,18 @@ def _divmod_atom(ctx: FieldCtx, poly: list, atom):
     lifted = [None] * (n + 1)
     for j in range(n, -1, -1):
         if j + d > n:
-            row = list(poly[j].coeffs) + pad
+            row = list(poly[j]) + pad
         else:
             prev = lifted[j + d]
             row = prev[cut:] + prev[:cut]
-            for t, v in enumerate(poly[j].coeffs):
+            for t, v in enumerate(poly[j]):
                 if v:
                     row[t] += v
         lifted[j] = row
     for j in range(d):
         if any(ctx.reduce_row(lifted[j])):
             return None
-    return [CycloScalar(ctx, tuple(ctx.reduce_row(row)))
-            for row in lifted[d:]]
+    return [canon_row(ctx.reduce_row(row)) for row in lifted[d:]]
 
 
 def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
@@ -258,12 +267,11 @@ def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
     poly = _zp_trim(list(poly))
     if not poly:
         raise ScalarInversionError("cannot factor the zero polynomial")
-    unit = poly[-1]
+    unit = CycloScalar(ctx, poly[-1])
     atoms: dict = {}
     if len(poly) == 1:
         return unit, atoms
-    inv_lead = unit.inv()
-    work = [c * inv_lead for c in poly]
+    work = _zp_mul(ctx, poly, [unit.inv().coeffs])
     candidates = [ATOM_Z]
     candidates += [("lin", s) for s in range(ctx.N)]
     candidates += [("quad", s) for s in range(1, ctx.N, 2)]
@@ -340,21 +348,19 @@ class ZRat:
 
     @staticmethod
     def from_poly(ctx: FieldCtx, coeffs: Iterable) -> "ZRat":
-        return ZRat._make(ctx, [ctx.scalar(c) if not isinstance(c, CycloScalar)
-                                else c for c in coeffs], {})
+        return ZRat._make(ctx, [ctx.scalar(c).coeffs for c in coeffs], {})
 
     @staticmethod
     def const(ctx: FieldCtx, value) -> "ZRat":
-        c = value if isinstance(value, CycloScalar) else ctx.scalar(value)
-        if c.is_zero():
-            return ZRat(ctx, (), ())
-        return ZRat(ctx, (c,), ())
+        c = ctx.scalar(value).coeffs
+        return ZRat(ctx, (c,) if any(c) else (), ())
 
     @staticmethod
     def z_power(ctx: FieldCtx, m: int) -> "ZRat":
+        one = ctx.one().coeffs
         if m >= 0:
-            return ZRat(ctx, tuple([ctx.zero()] * m + [ctx.one()]), ())
-        return ZRat(ctx, (ctx.one(),), ((ATOM_Z, -m),))
+            return ZRat(ctx, ((0,) * ctx.deg,) * m + (one,), ())
+        return ZRat(ctx, (one,), ((ATOM_Z, -m),))
 
     # -- structure ------------------------------------------------------------
 
@@ -410,7 +416,7 @@ class ZRat:
             if not extra:
                 return list(num)
             return _zp_mul(ctx, num, _atom_product(ctx, extra))
-        num = _zp_add(ctx, to_lcm(self.num, sden), to_lcm(o.num, oden))
+        num = _zp_add(to_lcm(self.num, sden), to_lcm(o.num, oden))
         # Only an atom with the same multiplicity in both denominators can
         # cancel: otherwise the sum is, mod that atom, the operand with the
         # higher power times other atoms, and that is nonzero mod the atom.
@@ -431,7 +437,7 @@ class ZRat:
         return o + (-self)
 
     def __neg__(self):
-        return ZRat(self.ctx, tuple(-c for c in self.num), self.den)
+        return ZRat(self.ctx, tuple(_zp_neg(self.num)), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -455,7 +461,7 @@ class ZRat:
         if self.is_zero():
             raise ScalarInversionError("inversion of the zero coefficient")
         unit, atoms = atomize(self.ctx, list(self.num))
-        num = _zp_scale(self.den_poly(), unit.inv())
+        num = _zp_mul(self.ctx, self.den_poly(), [unit.inv().coeffs])
         # The old numerator is coprime to the old denominator, which becomes
         # the new numerator, so no atom can cancel.
         return ZRat(self.ctx, tuple(num), _den_tuple(atoms))
@@ -495,11 +501,8 @@ class ZRat:
             return self
         step = ctx.rho_exp
         den_deg = self.den_degree()
-        num = tuple(
-            c * ctx.root_power(n * step * (j - den_deg))
-            if not c.is_zero() else c
-            for j, c in enumerate(self.num)
-        )
+        num = tuple(_zeta_times(ctx, n * step * (j - den_deg), row)
+                    for j, row in enumerate(self.num))
         den = []
         for atom, mult in self.den:
             if atom == ATOM_Z:
@@ -533,10 +536,9 @@ class ZRat:
                 zexp += atom[1] * mult
                 new_atoms.append((("quad", (-atom[1]) % ctx.N), mult))
         e_shift = z_mult + sum(_atom_degree(a) * m for a, m in new_atoms) - dn
-        unit_inv = ctx.root_power(-zexp)
-        if sign % 2:
-            unit_inv = -unit_inv
-        num = _zp_scale(rev, unit_inv)
+        # times the unit (-1)^sign zeta^-zexp, with -1 = zeta^(N/2)
+        unit = -zexp + (ctx.N // 2 if sign % 2 else 0)
+        num = [_zeta_times(ctx, unit, row) for row in rev]
         den = dict(new_atoms)
         if e_shift >= 0:
             num = _zp_shift(ctx, num, e_shift)
@@ -549,7 +551,7 @@ class ZRat:
         if self.is_zero():
             return self
         ctx = self.ctx
-        num = tuple(c.conj() for c in self.num)
+        num = tuple(CycloScalar(ctx, c).conj().coeffs for c in self.num)
         den = {(atom if atom == ATOM_Z else (atom[0], (-atom[1]) % ctx.N)): mult
                for atom, mult in self.den}
         sigma = ZRat(ctx, num, _den_tuple(den))
@@ -560,25 +562,25 @@ class ZRat:
         ctx = self.ctx
         if self.is_zero():
             return self
-        iz = ctx.imag_unit()
-        nprime = _zp_deriv(ctx, list(self.num))
-        if not self.den:
-            return ZRat._make(
-                ctx, _zp_shift(ctx, _zp_scale(nprime, iz), 1), {})
-        # f = N / prod a^e :  f' = (N' A - N B) / (A prod a^e)
-        # with A = prod over distinct atoms, B = sum_a e_a a' A/a
-        # and a' = d z^(d - 1) for an atom z^d - zeta^s or z
-        distinct = [a for a, _ in self.den]
-        A = _atom_product(ctx, distinct)
-        B: list = []
-        for a, mult in self.den:
-            d = _atom_degree(a)
-            other = _atom_product(ctx, [b for b in distinct if b != a])
-            part = _zp_shift(ctx, other, d - 1)
-            B = _zp_add(ctx, B, _zp_scale(part, ctx.scalar(d * mult)))
-        num = _zp_add(ctx, _zp_mul(ctx, nprime, A),
-                      _zp_neg(_zp_mul(ctx, list(self.num), B)))
-        num = _zp_shift(ctx, _zp_scale(num, iz), 1)
+        num = _zp_deriv(list(self.num))
+        if self.den:
+            # f = N / prod a^e :  f' = (N' A - N B) / (A prod a^e)
+            # with A = prod over distinct atoms, B = sum_a e_a a' A/a
+            # and a' = d z^(d - 1) for an atom z^d - zeta^s or z
+            distinct = [a for a, _ in self.den]
+            A = _atom_product(ctx, distinct)
+            B: list = []
+            for a, mult in self.den:
+                d = _atom_degree(a)
+                other = _atom_product(ctx, [b for b in distinct if b != a])
+                part = _zp_shift(ctx, other, d - 1)
+                B = _zp_add(B, [tuple(d * mult * v for v in row)
+                                for row in part])
+            num = _zp_add(_zp_mul(ctx, num, A),
+                          _zp_neg(_zp_mul(ctx, list(self.num), B)))
+        # times i z, with i = zeta^(N/4)
+        num = _zp_shift(ctx, [_zeta_times(ctx, ctx.N // 4, row)
+                              for row in num], 1)
         den = {a: m + 1 for a, m in self.den}
         # Only z can cancel: mod any other atom a the numerator is
         # -i z e_a N a' A/a, a product of factors prime to a.
@@ -590,7 +592,7 @@ class ZRat:
         ctx = self.ctx
         acc = 0j
         for c in reversed(self.num):
-            acc = acc * zval + complex(c)
+            acc = acc * zval + complex(CycloScalar(ctx, c))
         den = 1 + 0j
         for atom, mult in self.den:
             if atom == ATOM_Z:
@@ -619,8 +621,8 @@ class ZRat:
         return not self.is_zero()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        num = " + ".join(f"({c!r})z^{j}" for j, c in enumerate(self.num)
-                         if not c.is_zero()) or "0"
+        num = " + ".join(f"({CycloScalar(self.ctx, c)!r})z^{j}"
+                         for j, c in enumerate(self.num) if any(c)) or "0"
         if not self.den:
             return num
         den = " ".join(f"{a}^{m}" for a, m in self.den)
@@ -655,14 +657,13 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         return cached
 
     N, k, step = ctx.N, ctx.k, ctx.rho_exp
-    one, zero, ii = ctx.one(), ctx.zero(), ctx.imag_unit()
-
+    zero, ii = ctx.zero(), ctx.imag_unit()
+    atoms: dict = {}
     if kind in ("tan_shift", "cot_shift", "sec2_shift", "csc2_shift"):
         # u = rho^j z;  c = rho^{-2j} = zeta^{-2 j step}
         c = ctx.root_power(-2 * j * step)
         t_plus = (N // 2 - 2 * j * step) % N    # z^2 + c = z^2 - zeta^{t_plus}
         t_minus = (-2 * j * step) % N           # z^2 - c = z^2 - zeta^{t_minus}
-        atoms: dict = {}
         if kind == "tan_shift":
             factor_unit_binomial(ctx, 2, t_plus, atoms)
             num = [ii * c, zero, -ii]
@@ -675,9 +676,7 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         else:  # csc2_shift
             factor_unit_binomial(ctx, 2, t_minus, atoms, mult=2)
             num = [zero, zero, ctx.scalar(-4) * c]
-        out = ZRat._make(ctx, num, atoms)
     elif kind in ("sec_k", "tan_k", "sec2_k", "csc2_k"):
-        atoms = {}
         if kind == "csc2_k":
             factor_unit_binomial(ctx, 2 * k, 0, atoms, mult=2)
             num = [zero] * (2 * k) + [ctx.scalar(-4)]
@@ -690,22 +689,19 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         else:  # tan_k = -i (z^{2k}-1)/(z^{2k}+1)
             factor_unit_binomial(ctx, 2 * k, N // 2, atoms)
             num = [ii] + [zero] * (2 * k - 1) + [-ii]
-        out = ZRat._make(ctx, num, atoms)
     else:
         # half-angle inverse squares, even k only:
         #   1/(cos + sin)^2 = 1/(1 + sin k phi) =  2i z^k / (z^k + i)^2
         #   1/(cos - sin)^2 = 1/(1 - sin k phi) = -2i z^k / (z^k - i)^2
         if k % 2:
             raise CoeffError(f"{kind} requires even k, got k={k}")
-        atoms = {}
         if kind == "half_sum_inv2":
             factor_unit_binomial(ctx, k, 3 * N // 4, atoms, mult=2)  # z^k + i
             num = [zero] * k + [ctx.scalar(2) * ii]
         else:
             factor_unit_binomial(ctx, k, N // 4, atoms, mult=2)      # z^k - i
             num = [zero] * k + [ctx.scalar(-2) * ii]
-        out = ZRat._make(ctx, num, atoms)
-
+    out = ZRat._make(ctx, [x.coeffs for x in num], atoms)
     ctx.trig_cache[key] = out
     return out
 

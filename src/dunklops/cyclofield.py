@@ -285,8 +285,16 @@ def _coord(c):
     """One coordinate in canonical form: an int if integral, else a RAT."""
     if type(c) is not RAT:
         c = RAT(c)
-    # int() also turns gmpy2's mpz numerator into a Python int
-    return int(c.numerator) if c.denominator == 1 else c
+    return c.numerator if c.denominator == 1 else c
+
+
+def canon_row(row) -> tuple:
+    """A coordinate row in canonical form, as a tuple: each coordinate an
+    ``int`` where it is integral and a ``RAT`` only for a proper fraction."""
+    for c in row:
+        if type(c) is not int:
+            return tuple(map(_coord, row))
+    return tuple(row)
 
 
 class CycloScalar:
@@ -296,20 +304,16 @@ class CycloScalar:
     ints / rationals; ``**`` with integer exponents; ``conj``; and numeric
     embedding via ``complex(x)``.
 
-    Each coordinate is stored as an ``int`` when it is integral and as a
-    ``RAT`` otherwise, whatever the caller passed; since ``RAT(n) == n`` and
-    ``hash(RAT(n)) == hash(n)``, equality and hashing are unaffected.
+    The coordinates are stored as a ``canon_row``, whatever the caller
+    passed; since ``RAT(n) == n`` and ``hash(RAT(n)) == hash(n)``, equality
+    and hashing are unaffected.
     """
 
     __slots__ = ("ctx", "coeffs", "_hash")
 
     def __init__(self, ctx: FieldCtx, coeffs: tuple):
         self.ctx = ctx
-        for c in coeffs:
-            if type(c) is not int:
-                coeffs = tuple(map(_coord, coeffs))
-                break
-        self.coeffs = coeffs
+        self.coeffs = canon_row(coeffs)
         self._hash = None
 
     # -- helpers -------------------------------------------------------------

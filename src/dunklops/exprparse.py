@@ -372,10 +372,11 @@ def _pow_factor(name: str, n: int) -> list:
     return [f"{name}^{n}"]
 
 
-def _scalar_factors(c) -> tuple:
-    """(sign, factors) for one field scalar as rational combinations of
-    zeta powers; multi-term scalars come back as one parenthesized factor."""
-    nz = [(j, q) for j, q in enumerate(c.coeffs) if q]
+def _scalar_factors(row) -> tuple:
+    """(sign, factors) for one field scalar, given by its coordinate row, as
+    rational combinations of zeta powers; multi-term scalars come back as one
+    parenthesized factor."""
+    nz = [(j, q) for j, q in enumerate(row) if q]
     if not nz:
         return 1, ["0"]
     if len(nz) == 1:
@@ -411,7 +412,7 @@ def _drop_unit(factors: list) -> list:
 
 
 def _zrat_factors(zr: ZRat) -> tuple:
-    nz = [(d, c) for d, c in enumerate(zr.num) if not c.is_zero()]
+    nz = [(d, c) for d, c in enumerate(zr.num) if any(c)]
     if not nz:
         return 1, ["0"]
     if len(nz) == 1:

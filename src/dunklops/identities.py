@@ -550,7 +550,7 @@ _SAMPLE_LIMIT = 240
 
 def _residual_report(row_id: str, k: int, value, elapsed_ms: int) -> CheckReport:
     if isinstance(value, ZRat):
-        count = sum(1 for c in value.num if not c.is_zero())
+        count = sum(1 for c in value.num if any(c))
     else:
         count = value.term_count()
     sample = ""

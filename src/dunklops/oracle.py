@@ -58,7 +58,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .coeffring import ATOM_Z
-from .cyclofield import FieldCtx, ctx_new
+from .cyclofield import CycloScalar, FieldCtx, ctx_new
 from .errors import OracleError
 from .identities import DEFAULT_SEED
 from .opalgebra import OpExpr, op_dphi
@@ -361,9 +361,9 @@ class _Batch:
         """The first L orders of the jet of a ZRat, or its value if it does
         not depend on phi.  Not cached: ``weights`` keeps the sums."""
         if not u.den and len(u.num) <= 1:
-            return complex(u.num[0]) if u.num else 0j
-        jet = self._fourier_jet({j: complex(c) for j, c in enumerate(u.num)
-                                 if not c.is_zero()}, L)
+            return complex(CycloScalar(self.ctx, u.num[0])) if u.num else 0j
+        jet = self._fourier_jet({j: complex(CycloScalar(self.ctx, c))
+                                 for j, c in enumerate(u.num) if any(c)}, L)
         if u.den:
             jet = _leibniz(self._denominator(u.den, L), jet)
         return jet

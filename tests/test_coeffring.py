@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from dunklops._rat import RAT
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
-                                _atom_product, _divmod_atom, _zp_mul, atomize,
-                                cot_k, factor_unit_binomial, trig)
+                                _atom_product, _divmod_atom, _zeta_times,
+                                _zp_mul, atomize, cot_k, factor_unit_binomial,
+                                trig)
 from dunklops.cyclofield import CycloScalar, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 
@@ -236,7 +237,7 @@ def test_atomize_recovers_unit_and_atoms():
     ctx = ctx_new(2)          # N = 4
     two = ctx.scalar(2)
     poly = [two, ctx.zero(), two]             # 2 z^2 + 2 = 2 (z-i)(z+i)
-    unit, atoms = atomize(ctx, poly)
+    unit, atoms = atomize(ctx, _rows(poly))
     assert unit == two
     prod = ZRat.const(ctx, unit)
     for atom, mult in atoms.items():
@@ -353,11 +354,18 @@ def _ref_divmod_atom(ctx, poly, atom):
     return quo if rem[0].is_zero() and rem[1].is_zero() else None
 
 
+def _rows(poly):
+    """The coordinate rows the kernels take, from a list of scalars."""
+    return [c.coeffs for c in poly]
+
+
 def _exact(poly):
-    """Coordinates with their types: int and RAT must agree as well."""
+    """Coordinates with their types: int and RAT must agree as well.  Takes
+    rows or scalars."""
     if poly is None:
         return None
-    return [tuple((type(v), v) for v in c.coeffs) for c in poly]
+    return [tuple((type(v), v) for v in getattr(c, "coeffs", c))
+            for c in poly]
 
 
 _COORD = st.one_of(
@@ -388,21 +396,26 @@ def test_kernels_match_the_scalar_reference(k, data):
     ctx = ctx_new(k)
     a = _draw_poly(data, ctx)
     b = _draw_poly(data, ctx)
-    assert _exact(_zp_mul(ctx, a, b)) == _exact(_ref_mul(ctx, a, b))
+    assert (_exact(_zp_mul(ctx, _rows(a), _rows(b)))
+            == _exact(_ref_mul(ctx, a, b)))
+
+    m = data.draw(st.integers(-2 * ctx.N, 2 * ctx.N))
+    assert (_exact([_zeta_times(ctx, m, c.coeffs) for c in a])
+            == _exact([c * ctx.root_power(m) for c in a]))
 
     atom = _draw_atom(data, ctx)
     poly = _ref_trim(list(a))
-    assert (_exact(_divmod_atom(ctx, poly, atom))
+    assert (_exact(_divmod_atom(ctx, _rows(poly), atom))
             == _exact(_ref_divmod_atom(ctx, poly, atom)))
 
     q = _ref_trim(_draw_poly(data, ctx, min_size=1))
     if q:
         exact = _ref_mul(ctx, _ref_atom_poly(ctx, atom), q)
-        assert _exact(_divmod_atom(ctx, exact, atom)) == _exact(q)
+        assert _exact(_divmod_atom(ctx, _rows(exact), atom)) == _exact(q)
         assert _exact(_ref_divmod_atom(ctx, exact, atom)) == _exact(q)
         # adding 1 leaves a nonzero remainder
         inexact = [exact[0] + 1] + exact[1:]
-        assert _divmod_atom(ctx, inexact, atom) is None
+        assert _divmod_atom(ctx, _rows(inexact), atom) is None
         assert _ref_divmod_atom(ctx, inexact, atom) is None
 
     # a product of atoms, repeats included, in any order
@@ -420,8 +433,10 @@ def test_kernels_match_the_scalar_reference(k, data):
 
 
 def _leaves(ctx, data):
-    """Trig kinds at every shift, negative powers of z and polynomials."""
-    out = []
+    """Trig kinds at every shift, negative powers of z and polynomials, two
+    of them with rational coordinates."""
+    out = [ZRat.from_poly(ctx, [RAT(1, 3), 0, RAT(4, 2)]),
+           ZRat.from_poly(ctx, [0, RAT(-2, 3) * ctx.root_power(1)])]
     for kind in TRIG_KINDS:
         if kind.startswith("half_") and ctx.k % 2:
             continue
@@ -437,8 +452,15 @@ def _leaves(ctx, data):
 
 
 def _assert_canonical(f):
-    """No denominator atom divides the numerator, and trial division by
-    every atom of the denominator gives f back."""
+    """Each numerator row has deg coordinates, an int or a proper fraction
+    each, and the last row is nonzero; no denominator atom divides the
+    numerator, and trial division by every atom of the denominator gives f
+    back."""
+    for row in f.num:
+        assert len(row) == f.ctx.deg, (f, row)
+        assert all(type(v) is int or (type(v) is RAT and v.denominator != 1)
+                   for v in row), (f, row)
+    assert not f.num or any(f.num[-1]), f
     for atom, _ in f.den:
         assert _divmod_atom(f.ctx, list(f.num), atom) is None, (f, atom)
     assert f == ZRat._make(f.ctx, list(f.num), dict(f.den)), f
@@ -459,6 +481,10 @@ def test_operations_keep_the_canonical_form(k, data):
     pool = _leaves(ctx, data)
     for f in pool:
         _assert_canonical(f)
+    # a rational leaf y added and taken away leaves integral Fractions
+    x = data.draw(st.sampled_from(pool))
+    for y in pool[:2]:
+        _assert_canonical((x + y) - y)
     for _ in range(6):
         op = data.draw(st.sampled_from(
             sorted(_BINARY) + sorted(_UNARY) + ["rotate_n"]))
