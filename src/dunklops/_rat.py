@@ -1,21 +1,11 @@
 """Exact rational numbers.
 
-Everything in this package that is "a rational" is an instance of ``RAT``:
-``gmpy2.mpq`` when gmpy2 is importable (markedly faster), ``fractions.Fraction``
-otherwise.  Both are arbitrary precision and expose ``.numerator`` /
-``.denominator``, so the rest of the code never needs to know which one it got.
-Field coordinates use plain ``int`` wherever they are integral; a ``RAT`` is
-made only where a division needs one.
+Everything in this package that is "a rational" is an instance of ``RAT``,
+which is ``fractions.Fraction``.  Field coordinates use plain ``int`` wherever
+they are integral; a ``RAT`` is made only where a division needs one.
 """
 
-from __future__ import annotations
+from fractions import Fraction as RAT
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as RAT
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as RAT
-
-    HAVE_GMPY2 = False
-
+# the benchmark harness records this flag; the package has no gmpy2 path
+HAVE_GMPY2 = False
