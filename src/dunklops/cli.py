@@ -10,8 +10,10 @@
 
 Expressions are first matched whole against the named-operator registry
 (R, I, S, Dr, Dphi, Hk, Xk, HkExt, HkExtViaDr) and otherwise parsed with
-the expression grammar.  ``--k`` accepts a single value, a comma list
-("1,3,5") or a range ("1..6"); the expression commands want exactly one k.
+the expression grammar.  A named operator is built once per process per k,
+in the same ``operator_set(k)`` that ``verify`` uses, and shared from then
+on.  ``--k`` accepts a single value, a comma list ("1,3,5") or a range
+("1..6"); the expression commands want exactly one k.
 Exit codes: 0 all pass, 1 any fail, 2 usage or parse error.  The
 DUNKLOPS_MAX_K environment variable overrides the ceiling on k.
 """
@@ -26,7 +28,7 @@ from .builders import MUTATIONS, OPERATORS
 from .cyclofield import ctx_new, max_k_ceiling
 from .errors import DunklopsError, ParseError
 from .exprparse import parse_op, pretty
-from .identities import DEFAULT_SEED, run_suite
+from .identities import DEFAULT_SEED, operator_set, run_suite
 from .opalgebra import commutator
 
 __all__ = ["main", "parse_k_list"]
@@ -53,10 +55,14 @@ def parse_k_list(text: str, max_k: int) -> list:
     return ks
 
 
+# The OperatorSet attributes whose names differ from the registry's.
+_OPSET_ATTR = {"HkExt": "HkExtPhi", "HkExtViaDr": "HkExtDr"}
+
+
 def _resolve(text: str, ctx):
     name = text.strip()
     if name in OPERATORS:
-        return OPERATORS[name](ctx)
+        return getattr(operator_set(ctx.k), _OPSET_ATTR.get(name, name))
     return parse_op(text, ctx)
 
 

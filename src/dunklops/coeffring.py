@@ -268,10 +268,15 @@ def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
     if not poly:
         raise ScalarInversionError("cannot factor the zero polynomial")
     unit = CycloScalar(ctx, poly[-1])
-    atoms: dict = {}
     if len(poly) == 1:
-        return unit, atoms
-    work = _zp_mul(ctx, poly, [unit.inv().coeffs])
+        return unit, {}
+    return unit, _monic_atoms(ctx, _zp_mul(ctx, poly, [unit.inv().coeffs]))
+
+
+def _monic_atoms(ctx: FieldCtx, work: list) -> dict:
+    """The atom multiplicities of a monic polynomial; raise CoeffError if it
+    is not a product of atoms."""
+    atoms: dict = {}
     candidates = [ATOM_Z]
     candidates += [("lin", s) for s in range(ctx.N)]
     candidates += [("quad", s) for s in range(1, ctx.N, 2)]
@@ -289,7 +294,7 @@ def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
             "polynomial does not factor into the cyclotomic atom set"
         )
     # work == [1] by construction (monic, fully divided)
-    return unit, atoms
+    return atoms
 
 
 def _den_tuple(den: dict) -> tuple:
@@ -460,11 +465,14 @@ class ZRat:
     def inv(self) -> "ZRat":
         if self.is_zero():
             raise ScalarInversionError("inversion of the zero coefficient")
-        unit, atoms = atomize(self.ctx, list(self.num))
-        num = _zp_mul(self.ctx, self.den_poly(), [unit.inv().coeffs])
+        ctx = self.ctx
+        # num = unit * product(atoms), as in atomize, with one inversion.
+        unit_inv = [CycloScalar(ctx, self.num[-1]).inv().coeffs]
+        atoms = _monic_atoms(ctx, _zp_mul(ctx, self.num, unit_inv))
+        num = _zp_mul(ctx, self.den_poly(), unit_inv)
         # The old numerator is coprime to the old denominator, which becomes
         # the new numerator, so no atom can cancel.
-        return ZRat(self.ctx, tuple(num), _den_tuple(atoms))
+        return ZRat(ctx, tuple(num), _den_tuple(atoms))
 
     def __truediv__(self, other):
         o = self._coerce(other)

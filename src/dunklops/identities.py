@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .builders import (MUTATIONS, build_counterterm, build_Dphi,
                        build_Dphi_squared_expanded, build_Dr,
@@ -52,8 +52,7 @@ __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
 DEFAULT_SEED = 20260815         # the oracle's sampling seed (re-exported there)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     k: int
     status: str                 # "pass" | "fail" | "skipped"
@@ -62,7 +61,7 @@ class CheckReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,8 @@ class CheckReport:
 
 class OperatorSet:
     """All operators a suite run needs for one (k, mutation), built lazily
-    and shared across checks (the angular square is the expensive one)."""
+    and shared across checks (the angular square is the expensive one) and,
+    unmutated, with the CLI's named operators."""
 
     def __init__(self, ctx: FieldCtx, mutation: str | None = None):
         if mutation is not None and mutation not in MUTATIONS:

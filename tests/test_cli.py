@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklops.builders import build_Dphi
-from dunklops.cli import main, parse_k_list
+from dunklops import identities
+from dunklops.builders import OPERATORS, build_Dphi
+from dunklops.cli import _resolve, main, parse_k_list
+from dunklops.cyclofield import ctx_new
 from dunklops.exprparse import pretty
+from dunklops.opalgebra import commutator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -197,6 +200,78 @@ def test_adjoint_and_project(capsys):
     assert out.strip()
 
 
+# ---------------------------------------------------------------------------
+# named operators, shared with verify through operator_set(k)
+# ---------------------------------------------------------------------------
+
+# Registry name -> the OperatorSet attribute that holds the same operator.
+_SHARED = {"R": "R", "I": "I", "S": "S", "Dr": "Dr", "Dphi": "Dphi",
+           "Hk": "Hk", "Xk": "Xk", "HkExt": "HkExtPhi",
+           "HkExtViaDr": "HkExtDr"}
+
+
+def _names(k):
+    return [name for name in OPERATORS if name != "S" or k % 2 == 0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_named_operators_print_as_built_from_scratch(capsys, k):
+    assert set(_SHARED) == set(OPERATORS)
+    ctx = ctx_new(k)
+    dr = OPERATORS["Dr"](ctx)
+    for name in _names(k):
+        op = OPERATORS[name](ctx)
+        expected = {("norm",): pretty(op), ("adjoint",): pretty(op.adjoint()),
+                    ("project",): pretty(op.project_identity()),
+                    ("commute", "Dr"): pretty(commutator(op, dr))}
+        for (cmd, *rest), text in expected.items():
+            code, out, err = run_cli(capsys, cmd, "--k", str(k), name, *rest)
+            assert (code, out, err) == (0, text + "\n", ""), (cmd, name)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_s_at_odd_k_exits_2(capsys, k):
+    for cmd in ("norm", "adjoint", "project"):
+        code, out, err = run_cli(capsys, cmd, "--k", str(k), "S")
+        assert (code, out) == (2, "")
+        assert err == f"error: S requires even k, got k={k}\n"
+
+
+def test_resolve_returns_the_operator_set_members():
+    for k in (1, 2, 3, 4):
+        ctx, ops = ctx_new(k), identities.operator_set(k)
+        for name in _names(k):
+            first = _resolve(name, ctx)
+            assert _resolve(f" {name} ", ctx) is first
+            assert first is getattr(ops, _SHARED[name])
+
+
+def test_repeated_requests_print_the_same_text(capsys):
+    requests = [(cmd, "--k", str(k), name, *rest)
+                for k in (2, 3) for name in _names(k)
+                for cmd, *rest in (("norm",), ("adjoint",), ("project",),
+                                   ("commute", "Dr"), ("commute", "Dphi"),
+                                   ("show",))]
+    first = [run_cli(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in first)
+    assert [run_cli(capsys, *argv) for argv in requests] == first
+
+
+def test_operator_sets_one_per_k_and_mutation(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "_OPSETS", {})
+    for _ in range(3):
+        for k in (1, 2, 3):
+            for name in _names(k):
+                for cmd in ("norm", "adjoint", "project"):
+                    assert run_cli(capsys, cmd, "--k", str(k), name)[0] == 0
+            assert run_cli(capsys, "commute", "--k", str(k), "Dr",
+                           "Dphi")[0] == 0
+        assert run_cli(capsys, "verify", "--k", "3", "--mutate", "b-shift",
+                       "--suite", "dphi_props")[0] == 1
+    assert sorted(identities._OPSETS, key=str) == [
+        (1, None), (2, None), (3, "b-shift"), (3, None)]
+
+
 def test_expression_commands_want_one_k(capsys):
     code, _, err = run_cli(capsys, "norm", "--k", "1,2", "dr")
     assert code == 2
@@ -288,6 +363,19 @@ def test_numpy_loads_only_with_the_oracle():
     proc = subprocess.run(
         [sys.executable, "-m", "dunklops", "verify", "--k", "2", "--oracle"],
         capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-500:]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "\n".join([
+        "import sys",
+        "from dunklops import cli",
+        "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))",
+        "assert not loaded, loaded",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr[-500:]
 
 
