@@ -40,8 +40,8 @@ def parse_k_list(text: str, max_k: int) -> list:
     try:
         if ".." in text:
             lo_txt, hi_txt = text.split("..", 1)
-            lo, hi = int(lo_txt), int(hi_txt)
-            ks = list(range(lo, hi + 1))
+            # a range is checked lazily, so no list of a huge range is built
+            ks = range(int(lo_txt), int(hi_txt) + 1)
         else:
             ks = [int(part) for part in text.split(",")]
     except ValueError:
@@ -52,7 +52,7 @@ def parse_k_list(text: str, max_k: int) -> list:
         if not 1 <= k <= max_k:
             raise ValueError(f"k={k} outside [1, {max_k}]"
                              " (set DUNKLOPS_MAX_K to change the ceiling)")
-    return ks
+    return list(ks)
 
 
 # The OperatorSet attributes whose names differ from the registry's.

@@ -25,10 +25,11 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
 The numerator ``num`` is a tuple of coordinate rows, one per power of z and
 no trailing zero row; each row is the ``canon_row`` of a scalar's power-basis
 coordinates.  The kernels take and return rows; a ``CycloScalar`` is built
-only at the boundary, where a field inverse, conjugation or an outside reader
-needs one.  Operands are sparse, so a product convolves only nonzero
-coordinates, into one unreduced row of zeta-powers per output power of z, and
-reduces each row modulo Phi_N once.  Trial division by z^d - zeta^s lifts the
+only at the boundary, where a field inverse or an outside reader needs one
+(conjugation maps each row through ``FieldCtx.galois_row``).  Operands are
+sparse, so a product convolves only nonzero coordinates, into one unreduced
+row of zeta-powers per output power of z, and reduces each row modulo Phi_N
+once.  Trial division by z^d - zeta^s lifts the
 rows into Z[x]/(x^N - 1), where multiplying by zeta^s is a cyclic shift of the
 row by s; it reduces modulo Phi_N only the remainder, to test exactness, and
 the quotient only when the division is exact.  A product of atoms (the cofactor
@@ -58,7 +59,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._rat import RAT
-from .cyclofield import CycloScalar, FieldCtx, canon_row
+from .cyclofield import CycloScalar, FieldCtx, binary_power, canon_row
 from .errors import CoeffError, FieldError, ScalarInversionError
 
 # ---------------------------------------------------------------------------
@@ -258,21 +259,6 @@ def _divmod_atom(ctx: FieldCtx, poly: list, atom):
     return [canon_row(ctx.reduce_row(row)) for row in lifted[d:]]
 
 
-def atomize(ctx: FieldCtx, poly: list) -> tuple[CycloScalar, dict]:
-    """Write poly = unit * product(atoms); raise CoeffError if impossible.
-
-    Only polynomials whose roots are (square roots of) roots of unity split
-    this way; those are exactly the denominators the constructors produce.
-    """
-    poly = _zp_trim(list(poly))
-    if not poly:
-        raise ScalarInversionError("cannot factor the zero polynomial")
-    unit = CycloScalar(ctx, poly[-1])
-    if len(poly) == 1:
-        return unit, {}
-    return unit, _monic_atoms(ctx, _zp_mul(ctx, poly, [unit.inv().coeffs]))
-
-
 def _monic_atoms(ctx: FieldCtx, work: list) -> dict:
     """The atom multiplicities of a monic polynomial; raise CoeffError if it
     is not a product of atoms."""
@@ -466,7 +452,7 @@ class ZRat:
         if self.is_zero():
             raise ScalarInversionError("inversion of the zero coefficient")
         ctx = self.ctx
-        # num = unit * product(atoms), as in atomize, with one inversion.
+        # num = unit * product(atoms), with one inversion of the unit.
         unit_inv = [CycloScalar(ctx, self.num[-1]).inv().coeffs]
         atoms = _monic_atoms(ctx, _zp_mul(ctx, self.num, unit_inv))
         num = _zp_mul(ctx, self.den_poly(), unit_inv)
@@ -489,15 +475,8 @@ class ZRat:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        result = ZRat.const(self.ctx, 1)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self if n >= 0 else self.inv(), abs(n),
+                            ZRat.const(self.ctx, 1))
 
     # -- the dihedral actions and the derivation -------------------------------
 
@@ -559,7 +538,7 @@ class ZRat:
         if self.is_zero():
             return self
         ctx = self.ctx
-        num = tuple(CycloScalar(ctx, c).conj().coeffs for c in self.num)
+        num = tuple(canon_row(ctx.galois_row(-1, c)) for c in self.num)
         den = {(atom if atom == ATOM_Z else (atom[0], (-atom[1]) % ctx.N)): mult
                for atom, mult in self.den}
         sigma = ZRat(ctx, num, _den_tuple(den))

@@ -8,6 +8,11 @@ with exact rational coordinates: a Python ``int`` wherever the coordinate is
 integral, which is nearly always, and a ``RAT`` only where a division made it
 a proper fraction.
 
+Q(zeta_N) is Galois over Q with group (Z/N)^*, sigma_j: zeta -> zeta^j, and
+``FieldCtx.galois_row`` applies sigma_j to a coordinate row.  Conjugation is
+sigma_{-1}.  Inversion multiplies the other conjugates and divides once, by
+the norm: 1/x = prod_{j != 1} sigma_j(x) / N(x).
+
     >>> ctx = ctx_new(3)                 # k = 3 -> N = 12, degree phi(12) = 4
     >>> ctx.N, ctx.deg
     (12, 4)
@@ -90,56 +95,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------------
-# rational polynomials, used for inversion via the extended Euclid algorithm
-# ----------------------------------------------------------------------------
-
-def _qp_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _qp_divmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = 1 / RAT(den[-1])
-    out = [RAT(0)] * max(len(num) - len(den) + 1, 0)
-    for shift in range(len(out) - 1, -1, -1):
-        q = num[shift + len(den) - 1] * inv_lead
-        out[shift] = q
-        if q:
-            for i, d in enumerate(den):
-                num[shift + i] -= q * d
-    return out, _qp_trim(num)
-
-
-def _qp_xgcd(a: list, b: list) -> tuple[list, list, list]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [RAT(1)], []
-    t0, t1 = [], [RAT(1)]
-    while r1:
-        q, r = _qp_divmod(r0, r1)
-        r0, r1 = r1, r
-
-        def step(u0, u1):
-            prod = [RAT(0)] * (len(q) + len(u1) - 1) if q and u1 else []
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, uc in enumerate(u1):
-                        prod[i + j] += qc * uc
-            out = list(u0) + [RAT(0)] * max(0, len(prod) - len(u0))
-            for i, pc in enumerate(prod):
-                out[i] -= pc
-            return _qp_trim(out)
-
-        s0, s1 = s1, step(s0, s1)
-        t0, t1 = t1, step(t0, t1)
-    return r0, s0, t0
-
-
-# ----------------------------------------------------------------------------
 # the field context and its scalars
 # ----------------------------------------------------------------------------
 
@@ -156,7 +111,6 @@ class FieldCtx:
         self.N = math.lcm(4, 2 * k)
         phi = cyclotomic_poly(self.N)
         self.deg = len(phi) - 1
-        self._phi = phi
 
         # power table: zeta^m reduced mod Phi_N, for m = 0 .. max(N, 2 deg - 2)
         # (Phi_N is monic with integer coefficients, so every entry is an int)
@@ -170,18 +124,14 @@ class FieldCtx:
             lead = cur[-1]
             if lead:
                 for i in range(self.deg):
-                    nxt[i] -= lead * self._phi[i]
+                    nxt[i] -= lead * phi[i]
             cur = nxt[: self.deg]
         self._powers = powers
         self._sparse_powers = [tuple((i, c) for i, c in enumerate(p) if c)
                                for p in powers]
 
-        # conjugation table: conj(zeta^j) = zeta^{N-j}
-        self._conj = [powers[(self.N - j) % self.N] for j in range(self.deg)]
-
-        # numeric embedding of the basis, zeta -> e^{2 pi i / N}
-        self._embed = [cmath.exp(2j * cmath.pi * j / self.N)
-                       for j in range(self.deg)]
+        # numeric embedding of the powers of zeta, zeta -> e^{2 pi i / N};
+        # the first deg entries embed the power basis
         self._unit_embed = [cmath.exp(2j * cmath.pi * j / self.N)
                             for j in range(self.N)]
 
@@ -236,6 +186,28 @@ class FieldCtx:
             if cm:
                 for i, c in sparse[m]:
                     out[i] += cm * c
+        return out
+
+    def mul_rows(self, a, b) -> list:
+        """Power-basis coordinates of the product of two coordinate rows."""
+        conv = [0] * (2 * self.deg - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        return self.reduce_row(conv)
+
+    def galois_row(self, j: int, row) -> list:
+        """Power-basis coordinates of sum_t row[t] zeta^(j t): the image of
+        the row's scalar under the automorphism sigma_j: zeta -> zeta^j, for
+        j prime to N (j = -1 is complex conjugation)."""
+        N, sparse = self.N, self._sparse_powers
+        out = [0] * self.deg
+        for t, v in enumerate(row):
+            if v:
+                for i, c in sparse[j * t % N]:
+                    out[i] += v * c
         return out
 
     @property
@@ -295,6 +267,19 @@ def canon_row(row) -> tuple:
         if type(c) is not int:
             return tuple(map(_coord, row))
     return tuple(row)
+
+
+def binary_power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, with ``one`` the identity;
+    the base is not squared after the last bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class CycloScalar:
@@ -366,29 +351,32 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.ctx.deg
-        a, b = self.coeffs, o.coeffs
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycloScalar(self.ctx, tuple(self.ctx.reduce_row(conv)))
+        return CycloScalar(self.ctx,
+                           tuple(self.ctx.mul_rows(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
+        """1/x = prod_{j != 1} sigma_j(x) / N(x), over the units j mod N.
+
+        x is first scaled by the least common denominator d of its
+        coordinates, so the conjugates of d x multiply on integer rows; d x
+        times their product is the norm N(d x), a nonzero integer, and the
+        one division is of each coordinate of d times that product by it.
+        """
         if self.is_zero():
             raise ScalarInversionError("inversion of the zero scalar")
         if self.is_rational():
             return self.ctx.scalar(1 / RAT(self.coeffs[0]))
-        poly = _qp_trim(list(self.coeffs))
-        g, s, _ = _qp_xgcd(poly, list(self.ctx._phi))
-        # g is a nonzero constant (Phi_N is irreducible over Q)
-        ginv = 1 / RAT(g[0])
-        out = [c * ginv for c in s] + [0] * (self.ctx.deg - len(s))
-        return CycloScalar(self.ctx, tuple(out[: self.ctx.deg]))
+        ctx = self.ctx
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        x = canon_row([c * d for c in self.coeffs])
+        rest = ctx.one().coeffs
+        for j in range(2, ctx.N):
+            if math.gcd(j, ctx.N) == 1:
+                rest = ctx.mul_rows(rest, ctx.galois_row(j, x))
+        norm = ctx.mul_rows(x, rest)[0]
+        return CycloScalar(ctx, tuple(RAT(c * d, norm) for c in rest))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -405,26 +393,13 @@ class CycloScalar:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        result = self.ctx.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self if n >= 0 else self.inv(), abs(n),
+                            self.ctx.one())
 
     def conj(self) -> "CycloScalar":
         """Complex conjugation, the field automorphism zeta -> zeta^{N-1}."""
-        out = [0] * self.ctx.deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                tab = self.ctx._conj[j]
-                for i in range(self.ctx.deg):
-                    if tab[i]:
-                        out[i] += c * tab[i]
-        return CycloScalar(self.ctx, tuple(out))
+        return CycloScalar(self.ctx,
+                           tuple(self.ctx.galois_row(-1, self.coeffs)))
 
     # -- comparisons / embedding ---------------------------------------------
 
@@ -445,7 +420,7 @@ class CycloScalar:
 
     def __complex__(self) -> complex:
         return sum(
-            (float(c) * e for c, e in zip(self.coeffs, self.ctx._embed)
+            (float(c) * e for c, e in zip(self.coeffs, self.ctx._unit_embed)
              if c),
             0j,
         )

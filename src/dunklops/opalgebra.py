@@ -35,7 +35,7 @@ from math import comb
 
 from ._rat import RAT
 from .coeffring import Coefficient, ZRat, _sum_coefficients
-from .cyclofield import CycloScalar, FieldCtx, ctx_new
+from .cyclofield import CycloScalar, FieldCtx, binary_power, ctx_new
 from .errors import AlgebraError, FieldError
 
 __all__ = [
@@ -180,14 +180,7 @@ class OpExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = op_one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return binary_power(self, n, op_one(self.ctx))
 
     # -- involutions -----------------------------------------------------------------
 

@@ -139,6 +139,14 @@ def test_k_parsing_unit():
         parse_k_list("13", 12)
     with pytest.raises(ValueError):
         parse_k_list("0", 12)
+    # the first k out of range, in ascending order, is named
+    with pytest.raises(ValueError, match=r"^k=13 outside \[1, 12\] "):
+        parse_k_list("1..20", 12)
+    with pytest.raises(ValueError, match=r"^k=-3 outside "):
+        parse_k_list("-3..5", 12)
+    # a huge range is refused without being expanded
+    with pytest.raises(ValueError, match=r"^k=13 outside "):
+        parse_k_list(f"1..{10**12}", 12)
 
 
 def test_env_ceiling_override(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dunklops._rat import RAT
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_product, _divmod_atom, _zeta_times,
-                                _zp_mul, atomize, cot_k, factor_unit_binomial,
+                                _zp_mul, cot_k, factor_unit_binomial,
                                 trig)
 from dunklops.cyclofield import CycloScalar, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
@@ -233,16 +233,31 @@ def test_factor_unit_binomial_roundtrip():
         factor_unit_binomial(ctx, 5, 0, {})   # 5 does not divide N = 12
 
 
-def test_atomize_recovers_unit_and_atoms():
+def test_inv_splits_the_numerator_into_unit_and_atoms():
     ctx = ctx_new(2)          # N = 4
-    two = ctx.scalar(2)
-    poly = [two, ctx.zero(), two]             # 2 z^2 + 2 = 2 (z-i)(z+i)
-    unit, atoms = atomize(ctx, _rows(poly))
-    assert unit == two
-    prod = ZRat.const(ctx, unit)
-    for atom, mult in atoms.items():
-        prod = prod * _atom_zrat(ctx, atom) ** mult
-    assert prod == ZRat.from_poly(ctx, poly)
+    x = ZRat.from_poly(ctx, [2, 0, 2])        # 2 z^2 + 2 = 2 (z-i)(z+i)
+    y = x.inv()
+    assert y.den == ((("lin", 1), 1), (("lin", 3), 1))   # (z-zeta)(z-zeta^3)
+    assert y.num == (ctx.scalar(RAT(1, 2)).coeffs,)
+    assert x * y == ZRat.const(ctx, 1)
+
+
+def test_pow_is_the_repeated_product(monkeypatch):
+    ctx = ctx_new(3)
+    x = trig(ctx, "tan_shift", 1)
+    for n in range(-3, 10):
+        expect = ZRat.const(ctx, 1)
+        for _ in range(abs(n)):
+            expect = expect * (x if n >= 0 else x.inv())
+        assert x ** n == expect, n
+    # square-and-multiply: three squarings and one product for x ** 8, and
+    # no squaring after the last bit
+    products = []
+    mul = ZRat.__mul__
+    monkeypatch.setattr(ZRat, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    x ** 8
+    assert len(products) == 4
 
 
 @settings(max_examples=80, deadline=None)

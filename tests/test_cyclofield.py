@@ -23,6 +23,11 @@ def rand_scalar(ctx, rng, span=6):
     return CycloScalar(ctx, tuple(coeffs))
 
 
+def sigma(x, j):
+    """The Galois automorphism zeta -> zeta^j applied to x."""
+    return CycloScalar(x.ctx, tuple(x.ctx.galois_row(j, x.coeffs)))
+
+
 def test_cyclotomic_poly_small_table():
     assert cyclotomic_poly(1) == (-1, 1)
     assert cyclotomic_poly(2) == (1, 1)
@@ -94,11 +99,15 @@ def test_ctx_new_is_keyed_by_k_alone(monkeypatch):
 
 
 def test_field_axioms_every_k():
-    """Ring/field axioms on random scalars for every context the suite uses."""
+    """Ring/field axioms on random scalars for every context the suite uses,
+    and the Galois automorphisms sigma_j, j a unit mod N, as ring maps."""
     rng = random.Random(20260815)
     for k in ALL_K:
         ctx = ctx_new(k)
-        for _ in range(25):
+        units = [j for j in range(1, ctx.N) if math.gcd(j, ctx.N) == 1]
+        for j in units:
+            assert sigma(ctx.root_power(1), j) == ctx.root_power(j)
+        for it in range(25):
             x = rand_scalar(ctx, rng)
             y = rand_scalar(ctx, rng)
             z = rand_scalar(ctx, rng)
@@ -114,6 +123,14 @@ def test_field_axioms_every_k():
             assert (x * y).conj() == x.conj() * y.conj()
             assert (x + y).conj() == x.conj() + y.conj()
             assert x.conj().conj() == x
+            if it < 3:
+                for j in units:
+                    assert sigma(x * y, j) == sigma(x, j) * sigma(y, j)
+                    assert sigma(x + y, j) == sigma(x, j) + sigma(y, j)
+                norm = x
+                for j in units[1:]:
+                    norm = norm * sigma(x, j)
+                assert norm.is_rational()
 
 
 @settings(max_examples=60, deadline=None)
