@@ -15,8 +15,8 @@ most trial divisions can be shown in advance to fail and are not made (as in
 Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
 
     a + b        the atoms with the same multiplicity in both denominators
-    a * b        the atoms of each denominator, on the other numerator,
-                 before multiplying
+    a * b        the atoms of each denominator that are not in the other,
+                 on the other numerator, before multiplying
     d_phi        only z
     inv          none
     rotate_n, reflect, conj, neg   none (they map canonical forms to
@@ -438,12 +438,18 @@ class ZRat:
             return ZRat(self.ctx, (), ())
         ctx = self.ctx
         # Each operand is reduced, so an atom of one denominator can cancel
-        # only against the other numerator.  Cancel it there, on the smaller
-        # factors; the product of the two reduced parts is then reduced.
-        a, den = _cancel(ctx, self.num, o.den)
-        b, sden = _cancel(ctx, o.num, self.den)
-        for atom, m in sden.items():
-            den[atom] = den.get(atom, 0) + m
+        # only against the other numerator, and not at all if it is in both
+        # denominators, since that numerator is prime to its own atoms.
+        # Cancel the others there, on the smaller factors; the product of the
+        # two reduced parts is then reduced.
+        sden, oden = dict(self.den), dict(o.den)
+        a, den = _cancel(ctx, self.num, [(atom, m) for atom, m in o.den
+                                         if atom not in sden])
+        b, left = _cancel(ctx, o.num, [(atom, m) for atom, m in self.den
+                                       if atom not in oden])
+        den.update(left)
+        for atom in sden.keys() & oden.keys():
+            den[atom] = sden[atom] + oden[atom]
         return ZRat(ctx, tuple(_zp_mul(ctx, a, b)), _den_tuple(den))
 
     __rmul__ = __mul__
@@ -895,17 +901,3 @@ class Coefficient:
             bits.append(f"[{zr!r}]" + ("*" + "*".join(tags) if tags else ""))
         return " + ".join(bits)
 
-
-def _sum_coefficients(ctx: FieldCtx, parts: list) -> Coefficient:
-    """Balanced pairwise sum (keeps transient denominators shallow)."""
-    if not parts:
-        return Coefficient.zero(ctx)
-    work = list(parts)
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(work[i] + work[i + 1])
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]

@@ -8,7 +8,9 @@ every row becomes its own CheckReport with a ``base[row]`` id.
 
 An operator row states its identity once, as weighted operator chains
 (lhs, rhs).  Both witnesses read that one statement: the exact residual is
-sum(lhs) - sum(rhs) computed with the symbolic product, and the oracle
+sum(lhs) - sum(rhs) computed with the symbolic product (the last product of
+every chain goes into one ``opalgebra.accumulate``, so the parts the chains
+share cancel as numerators over their common denominators), and the oracle
 module applies the same chains factor by factor to random test functions,
 so the numeric witness never relies on the product routine it is shadowing.
 Only the trigonometric rows (exact atoms against closed forms of arrays of
@@ -43,7 +45,8 @@ from .builders import (MUTATIONS, build_counterterm, build_Dphi,
 from .coeffring import Coefficient, ZRat, cot_k, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
-from .opalgebra import OpExpr, op_I, op_R, op_coeff, op_dr, op_one, op_zero
+from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
+                        op_dr, op_one, settle)
 
 __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
            "check", "run_check", "run_suite", "shadow_reports", "iter_rows",
@@ -494,26 +497,23 @@ def applicable(check_id: str, k: int) -> bool:
     return _REGISTRY[check_id][0](k)
 
 
-def _chain_sum(ops: OperatorSet, chains, total: OpExpr) -> OpExpr:
-    for weight, chain in chains:
-        term = ops.chain(chain)
-        if weight == -1:
-            term = -term
-        elif weight != 1:
-            term = OpExpr(ops.ctx, {key: c * weight
-                                    for key, c in term.terms.items()})
-        total = total + term
-    return total
-
-
 def _exact_residual(ops: OperatorSet, spec) -> OpExpr:
     """sum(lhs) - sum(rhs) of an operator spec; sum(lhs) is projected onto
-    the invariant sector for "ops-invariant"."""
+    the invariant sector for "ops-invariant".  Each chain's prefix comes
+    from ``ops.chain``; its last product goes into one accumulator with the
+    other chains', which is settled once."""
     kind, lhs, rhs = spec
-    total = _chain_sum(ops, lhs, op_zero(ops.ctx))
-    if kind == "ops-invariant":
-        total = total.project_identity()
-    return _chain_sum(ops, [(-w, chain) for w, chain in rhs], total)
+    acc: dict = {}
+    for sign, project, chains in ((1, kind == "ops-invariant", lhs),
+                                  (-1, False, rhs)):
+        for weight, chain in chains:
+            last = ops.chain(chain[-1:])
+            if len(chain) > 1:
+                accumulate(acc, ops.chain(chain[:-1]), last, sign * weight,
+                           project)
+            else:
+                deposit(acc, last, sign * weight, project)
+    return settle(ops.ctx, acc)
 
 
 def _numeric_spec(spec):

@@ -10,6 +10,13 @@ phi -> -phi; both commute with dr, while I dphi = -dphi I.  Products are
 normal-ordered on the fly with the Leibniz rule, so equality of expressions
 is literal equality of the term maps.
 
+A product is a multiply-accumulate: ``accumulate`` deposits each part of
+x * y as numerator rows under its operator key, coefficient monomial and
+denominator, and ``settle`` reduces each same-denominator group once, then
+adds the distinct denominators pairwise.  Sums of products (``commutator``,
+``anticommutator``, the suite's residuals) put every product into one
+accumulator, so parts that cancel do so before any cross-denominator sum.
+
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
 
@@ -34,14 +41,16 @@ from __future__ import annotations
 from math import comb
 
 from ._rat import RAT
-from .coeffring import Coefficient, ZRat, _sum_coefficients
-from .cyclofield import CycloScalar, FieldCtx, binary_power, ctx_new
+from .coeffring import Coefficient, ZRat, _zp_add
+from .cyclofield import (CycloScalar, FieldCtx, binary_power, canon_row,
+                         ctx_new)
 from .errors import AlgebraError, FieldError
 
 __all__ = [
     "OpExpr", "op_zero", "op_one", "op_scalar", "op_coeff", "op_param",
     "op_r", "op_dr", "op_dphi", "op_R", "op_I",
     "commutator", "anticommutator", "op_sum", "op_product",
+    "accumulate", "deposit", "settle",
 ]
 
 
@@ -129,47 +138,7 @@ class OpExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        two_k = 2 * ctx.k
-        acc: dict = {}
-        for (p1, q1, i1, e1), c1 in self.terms.items():
-            for (p2, q2, i2, e2), c2 in o.terms.items():
-                # commute the group part of term 1 past c2 ...
-                c2p = c2.reflect() if e1 else c2
-                if i1:
-                    c2p = c2p.rotate_n(i1)
-                # ... and past dphi^{q2} (I dphi = -dphi I)
-                sign_flip = bool(e1 and q2 % 2)
-                i_out = (i1 - i2 if e1 else i1 + i2) % two_k
-                e_out = e1 ^ e2
-                # Leibniz: dr^{p1} dphi^{q1} acting on c2p times the rest
-                grid = [[None] * (q1 + 1) for _ in range(p1 + 1)]
-                grid[0][0] = c2p
-                for t in range(1, q1 + 1):
-                    grid[0][t] = grid[0][t - 1].d_phi()
-                for s in range(1, p1 + 1):
-                    for t in range(q1 + 1):
-                        grid[s][t] = grid[s - 1][t].d_r()
-                for s in range(p1 + 1):
-                    cps = comb(p1, s)
-                    for t in range(q1 + 1):
-                        g = grid[s][t]
-                        if g.is_zero():
-                            continue
-                        factor = cps * comb(q1, t)
-                        if sign_flip:
-                            factor = -factor
-                        part = c1 * g
-                        if factor != 1:
-                            part = part * factor
-                        key = (p1 - s + p2, q1 - t + q2, i_out, e_out)
-                        acc.setdefault(key, []).append(part)
-        out = {}
-        for key, parts in acc.items():
-            total = _sum_coefficients(ctx, parts)
-            if not total.is_zero():
-                out[key] = total
-        return OpExpr(ctx, out)
+        return settle(self.ctx, accumulate({}, self, o))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -207,15 +176,7 @@ class OpExpr:
 
     def project_identity(self) -> "OpExpr":
         """Replace every R^i I^e by 1 (action on fully invariant functions)."""
-        acc: dict = {}
-        for (p, q, _i, _e), c in self.terms.items():
-            acc.setdefault((p, q, 0, 0), []).append(c)
-        out = {}
-        for key, parts in acc.items():
-            total = _sum_coefficients(self.ctx, parts)
-            if not total.is_zero():
-                out[key] = total
-        return OpExpr(self.ctx, out)
+        return settle(self.ctx, deposit({}, self, project=True))
 
     # -- comparison --------------------------------------------------------------------
 
@@ -321,16 +282,135 @@ def op_I(ctx: FieldCtx) -> OpExpr:
 
 
 # ---------------------------------------------------------------------------
+# sums of products: one multiply-accumulate
+# ---------------------------------------------------------------------------
+# An accumulator is a dict
+#     (p, q, i, e) -> (m, alpha, beta, gamma) -> denominator -> [rows, parts]
+# holding, for each operator key, coefficient monomial and canonical ZRat
+# denominator, the numerator rows of the parts deposited there so far and
+# their number.  Parts over one denominator add as rows, with no cofactor and
+# no trial division; ``settle`` reduces each such group once and only then
+# adds the distinct-denominator subtotals as ZRats.  The canonical form is
+# unique, so the result does not depend on the order of the parts.
+
+
+def _deposit(monos: dict, mono: tuple, zr: ZRat, factor: int) -> None:
+    """monos[mono] += factor * zr, for a nonzero canonical zr and factor."""
+    num = zr.num
+    if factor != 1:
+        num = [canon_row([factor * v for v in row]) for row in num]
+    dens = monos.setdefault(mono, {})
+    slot = dens.get(zr.den)
+    if slot is None:
+        dens[zr.den] = [num, 1]
+    else:
+        slot[0] = _zp_add(slot[0], num)
+        slot[1] += 1
+
+
+def deposit(acc: dict, x: OpExpr, weight: int = 1,
+            project: bool = False) -> dict:
+    """acc += weight * x; with ``project`` every R^i I^e is replaced by 1."""
+    if weight:
+        for (p, q, i, e), c in x.terms.items():
+            monos = acc.setdefault((p, q, 0, 0) if project else (p, q, i, e),
+                                   {})
+            for mono, zr in c.terms.items():
+                _deposit(monos, mono, zr, weight)
+    return acc
+
+
+def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
+               project: bool = False) -> dict:
+    """acc += weight * x * y, normal-ordered with the Leibniz rule; with
+    ``project`` every R^i I^e of the product is replaced by 1."""
+    if y.ctx is not x.ctx:
+        raise FieldError("mixed field contexts in operator arithmetic")
+    if not weight:
+        return acc
+    two_k = 2 * x.ctx.k
+    for (p1, q1, i1, e1), c1 in x.terms.items():
+        for (p2, q2, i2, e2), c2 in y.terms.items():
+            # commute the group part of term 1 past c2 ...
+            c2p = c2.reflect() if e1 else c2
+            if i1:
+                c2p = c2p.rotate_n(i1)
+            # ... and past dphi^{q2} (I dphi = -dphi I)
+            sign = -weight if e1 and q2 % 2 else weight
+            if project:
+                i_out = e_out = 0
+            else:
+                i_out = (i1 - i2 if e1 else i1 + i2) % two_k
+                e_out = e1 ^ e2
+            # Leibniz: dr^{p1} dphi^{q1} acting on c2p times the rest
+            grid = [[None] * (q1 + 1) for _ in range(p1 + 1)]
+            grid[0][0] = c2p
+            for t in range(1, q1 + 1):
+                grid[0][t] = grid[0][t - 1].d_phi()
+            for s in range(1, p1 + 1):
+                for t in range(q1 + 1):
+                    grid[s][t] = grid[s - 1][t].d_r()
+            for s in range(p1 + 1):
+                cps = sign * comb(p1, s)
+                for t in range(q1 + 1):
+                    g = grid[s][t].terms
+                    if not g:
+                        continue
+                    factor = cps * comb(q1, t)
+                    monos = acc.setdefault(
+                        (p1 - s + p2, q1 - t + q2, i_out, e_out), {})
+                    for (m1, a1, b1, g1), z1 in c1.terms.items():
+                        for (m2, a2, b2, g2), z2 in g.items():
+                            _deposit(monos, (m1 + m2, a1 + a2, b1 + b2,
+                                             g1 + g2), z1 * z2, factor)
+    return acc
+
+
+def _pairwise_sum(parts: list):
+    """Balanced pairwise sum (keeps transient denominators shallow)."""
+    while len(parts) > 1:
+        nxt = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts = nxt
+    return parts[0]
+
+
+def settle(ctx: FieldCtx, acc: dict) -> OpExpr:
+    """The operator an accumulator holds, in canonical form."""
+    out = {}
+    for key, monos in acc.items():
+        terms = {}
+        for mono, dens in monos.items():
+            # a single part is canonical as it was deposited
+            subtotals = [ZRat(ctx, tuple(num), den) if parts == 1
+                         else ZRat._make(ctx, num, dict(den))
+                         for den, (num, parts) in dens.items()]
+            subtotals = [zr for zr in subtotals if not zr.is_zero()]
+            if subtotals:
+                total = _pairwise_sum(subtotals)
+                if not total.is_zero():
+                    terms[mono] = total
+        if terms:
+            out[key] = Coefficient(ctx, terms)
+    return OpExpr(ctx, out)
+
+
+# ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
 
 
 def commutator(x: OpExpr, y: OpExpr) -> OpExpr:
-    return x * y - y * x
+    """x y - y x, both orders summed in one accumulator."""
+    acc = accumulate({}, x, y)
+    return settle(x.ctx, accumulate(acc, y, x, -1))
 
 
 def anticommutator(x: OpExpr, y: OpExpr) -> OpExpr:
-    return x * y + y * x
+    """x y + y x, both orders summed in one accumulator."""
+    acc = accumulate({}, x, y)
+    return settle(x.ctx, accumulate(acc, y, x))
 
 
 def op_sum(ctx: FieldCtx, parts) -> OpExpr:

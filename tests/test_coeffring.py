@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklops._rat import RAT
+from dunklops import coeffring
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_product, _divmod_atom, _zeta_times,
                                 _zp_mul, cot_k, factor_unit_binomial,
@@ -258,6 +259,37 @@ def test_pow_is_the_repeated_product(monkeypatch):
                         lambda a, b: products.append(1) or mul(a, b))
     x ** 8
     assert len(products) == 4
+
+
+def test_product_skips_the_atoms_both_denominators_share(monkeypatch):
+    tries = []
+    divmod_atom = coeffring._divmod_atom
+    monkeypatch.setattr(coeffring, "_divmod_atom",
+                        lambda *args: tries.append(1) or divmod_atom(*args))
+
+    def count(fn, *args):
+        tries.clear()
+        return fn(*args), len(tries)
+
+    def cancel_everything(ctx, x, y):
+        """Each denominator's atoms tried on the other numerator, all."""
+        coeffring._cancel(ctx, x.num, y.den)
+        coeffring._cancel(ctx, y.num, x.den)
+
+    for k in (2, 3, 4):
+        ctx = ctx_new(k)
+        for x, y in ((trig(ctx, "tan_shift", 0), trig(ctx, "sec2_shift", 0)),
+                     (trig(ctx, "sec_k"), trig(ctx, "tan_k")),
+                     (trig(ctx, "csc2_shift", 1),
+                      trig(ctx, "cot_shift", 1) * ZRat.z_power(ctx, -1))):
+            assert set(dict(x.den)) & set(dict(y.den))
+            got, made = count(ZRat.__mul__, x, y)
+            _, everything = count(cancel_everything, ctx, x, y)
+            assert made < everything
+            den = dict(x.den)
+            for atom, m in y.den:
+                den[atom] = den.get(atom, 0) + m
+            assert got == ZRat._make(ctx, _zp_mul(ctx, x.num, y.num), den)
 
 
 @settings(max_examples=80, deadline=None)

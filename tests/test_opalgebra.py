@@ -1,18 +1,22 @@
 """Normal-ordered operator algebra: ordering rules, ring laws, adjoints."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklops import identities
 from dunklops._rat import RAT
-from dunklops.coeffring import Coefficient, ZRat, trig
+from dunklops.builders import build_Dphi, build_Dr
+from dunklops.coeffring import Coefficient, ZRat, _den_tuple, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
-from dunklops.opalgebra import (OpExpr, anticommutator, commutator, op_I,
-                                op_R, op_coeff, op_dphi, op_dr, op_one,
-                                op_param, op_r, op_scalar, op_zero)
+from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
+                                commutator, op_I, op_R, op_coeff, op_dphi,
+                                op_dr, op_one, op_param, op_r, op_scalar,
+                                op_zero, settle)
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -121,6 +125,11 @@ def test_mixed_contexts_rejected():
         _ = op_dr(ctx_new(2)) * op_dr(ctx_new(3))
     with pytest.raises(FieldError):
         _ = op_dr(ctx_new(2)) + op_dr(ctx_new(3))
+    for combine in (commutator, anticommutator):
+        with pytest.raises(FieldError):
+            combine(op_dr(ctx_new(2)), op_dphi(ctx_new(3)))
+        with pytest.raises(FieldError):
+            combine(op_R(ctx_new(3)), op_I(ctx_new(2)))
 
 
 def test_pow_rejects_negative():
@@ -134,6 +143,16 @@ def test_commutator_combinators():
     assert commutator(x, y) == x * y - y * x
     assert anticommutator(x, y) == x * y + y * x
     assert commutator(x, x) == op_zero(ctx)
+
+
+def test_fully_cancelling_results_have_no_terms():
+    for k in (1, 2, 3, 4):
+        ctx = ctx_new(k)
+        x = op_dphi(ctx) * op_coeff(ctx, trig(ctx, "tan_k")) + op_I(ctx)
+        assert commutator(x, x).terms == {}
+        assert commutator(op_R(ctx), build_Dr(ctx)).terms == {}
+        assert anticommutator(op_I(ctx), build_Dphi(ctx)).terms == {}
+        assert (x * op_R(ctx) - x).project_identity().terms == {}
 
 
 def test_equal_ops_hash_equal():
@@ -289,3 +308,118 @@ def test_product_matches_composition_numerically():
         lhs = via_product.value(pt)
         rhs = via_steps.value(pt)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# the multiply-accumulate against a one-part-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_product(x, y):
+    """x * y by the Leibniz loop, with each part added on its own by
+    Coefficient.__add__ (no grouping by denominator)."""
+    ctx = x.ctx
+    two_k = 2 * ctx.k
+    out = {}
+    for (p1, q1, i1, e1), c1 in x.terms.items():
+        for (p2, q2, i2, e2), c2 in y.terms.items():
+            c2p = c2.reflect() if e1 else c2
+            if i1:
+                c2p = c2p.rotate_n(i1)
+            sign = -1 if e1 and q2 % 2 else 1
+            i_out = (i1 - i2 if e1 else i1 + i2) % two_k
+            for s in range(p1 + 1):
+                for t in range(q1 + 1):
+                    g = c2p
+                    for _ in range(t):
+                        g = g.d_phi()
+                    for _ in range(s):
+                        g = g.d_r()
+                    part = c1 * g * (sign * comb(p1, s) * comb(q1, t))
+                    key = (p1 - s + p2, q1 - t + q2, i_out, e1 ^ e2)
+                    out[key] = out[key] + part if key in out else part
+    return OpExpr.make(ctx, out)
+
+
+def _reference_project(x):
+    out = {}
+    for (p, q, _i, _e), c in x.terms.items():
+        key = (p, q, 0, 0)
+        out[key] = out[key] + c if key in out else c
+    return OpExpr.make(x.ctx, out)
+
+
+def _reference_chain(ops, chain):
+    total = ops.one
+    for f in chain:
+        if isinstance(f, tuple):
+            f = _reference_chain(ops, f)
+        total = _reference_product(total, f)
+    return total
+
+
+def _assert_canonical_op(op):
+    """No zero Coefficient or ZRat is stored, and every ZRat is reduced."""
+    for c in op.terms.values():
+        assert isinstance(c, Coefficient) and c.terms
+        for zr in c.terms.values():
+            assert zr.num and any(zr.num[-1])
+            assert zr.den == _den_tuple(dict(zr.den))
+            assert zr == ZRat._make(zr.ctx, list(zr.num), dict(zr.den))
+
+
+def _pool_with_k_kinds(ctx):
+    pool = _atom_pool(ctx) + [op_coeff(ctx, trig(ctx, "sec_k")),
+                              op_coeff(ctx, trig(ctx, "cot_shift", 1))]
+    if ctx.k % 2 == 0:
+        pool.append(op_coeff(ctx, trig(ctx, "half_sum_inv2")))
+    return pool
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_accumulator_matches_the_reference(k):
+    rng = random.Random(1300 + k)
+    ctx = ctx_new(k)
+    pool = _pool_with_k_kinds(ctx)
+    for _ in range(10):
+        x = _random_op(rng, ctx, pool) * rng.choice(pool)
+        y = _random_op(rng, ctx, pool)
+        xy, yx = _reference_product(x, y), _reference_product(y, x)
+        for got, want in ((x * y, xy), (commutator(x, y), xy - yx),
+                          (anticommutator(x, y), xy + yx),
+                          (x.project_identity(), _reference_project(x)),
+                          ((x * y).project_identity(),
+                           _reference_project(xy)),
+                          (settle(ctx, accumulate({}, x, y, -2, project=True)),
+                           _reference_project(-2 * xy))):
+            assert got == want
+            _assert_canonical_op(got)
+
+
+def _spec_rows(k, mutation):
+    ops = identities.operator_set(k, mutation)
+    for cid in identities.DEFAULT_CHECK_IDS:
+        if identities.applicable(cid, k):
+            for rid, *fns in identities._REGISTRY[cid][1](ops):
+                if len(fns) == 1:
+                    yield ops, cid + rid, fns[0]()
+
+
+@pytest.mark.parametrize("k, mutation", [(1, None), (2, None), (3, None),
+                                         (4, None), (5, None),
+                                         (3, "b-shift"), (4, "dr-drop")])
+def test_residuals_match_the_reference_chains(k, mutation):
+    rows = 0
+    for ops, row_id, (kind, lhs, rhs) in _spec_rows(k, mutation):
+        total = op_zero(ops.ctx)
+        for w, chain in lhs:
+            total = total + w * _reference_chain(ops, chain)
+        if kind == "ops-invariant":
+            total = _reference_project(total)
+        for w, chain in rhs:
+            total = total - w * _reference_chain(ops, chain)
+        residual = identities._exact_residual(ops, (kind, lhs, rhs))
+        assert residual == total, row_id
+        _assert_canonical_op(residual)
+        rows += 1
+    assert rows >= 15
