@@ -28,8 +28,8 @@ from __future__ import annotations
 from .coeffring import Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
-from .opalgebra import (OpExpr, op_I, op_R, op_coeff, op_dphi, op_dr, op_one,
-                        op_zero)
+from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
+                        op_dphi, op_dr, op_one, op_zero, settle)
 
 __all__ = [
     "build_R", "build_I", "build_S", "build_Dr", "build_Dphi",
@@ -243,13 +243,23 @@ def build_extended_Hk(k, form: str = "via_Dphi", mutation: str | None = None,
             (1, 0, 0, 0): -Coefficient.monomial(ctx, m=-1),
         })
         inv_r2 = op_coeff(ctx, Coefficient.monomial(ctx, m=-2))
-        return radial - inv_r2 * (_dphi2 - build_counterterm(ctx)) + osc
+        # radial - inv_r2 * (Dphi^2 - counterterm) + osc, settled once
+        acc = deposit({}, radial)
+        accumulate(acc, inv_r2, _dphi2, -1)
+        accumulate(acc, inv_r2, build_counterterm(ctx))
+        return settle(ctx, deposit(acc, osc))
     if _dr is None:
         _dr = build_Dr(ctx, mutation)
     inv_r = op_coeff(ctx, Coefficient.monomial(ctx, m=-1))
     bracket = op_one(ctx) + 2 * build_reflection_tail(ctx)
     inv_r2 = op_coeff(ctx, Coefficient.monomial(ctx, m=-2))
-    return -(_dr * _dr) - inv_r * (bracket * _dr) - inv_r2 * _dphi2 + osc
+    # -Dr^2 - inv_r * (bracket * Dr) - inv_r2 * Dphi^2 + osc.  The first two
+    # summands cancel terms that the third brings back; settling them first
+    # keeps the term order of the chained sum, which the oracle sums in.
+    acc = accumulate({}, _dr, _dr, -1)
+    acc = deposit({}, settle(ctx, accumulate(acc, inv_r, bracket * _dr, -1)))
+    accumulate(acc, inv_r2, _dphi2, -1)
+    return settle(ctx, deposit(acc, osc))
 
 
 # -- explicit low-k transcriptions ------------------------------------------------

@@ -16,11 +16,19 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
 
     a + b        the atoms with the same multiplicity in both denominators
     a * b        the atoms of each denominator that are not in the other,
-                 on the other numerator, before multiplying
-    d_phi        only z
+                 on the other numerator, before multiplying; none when
+                 either factor is a constant (see below)
+    d_phi        only z; nothing for a constant, whose d_phi is 0
     inv          none
     rotate_n, reflect, conj, neg   none (they map canonical forms to
-                 canonical forms)
+                 canonical forms); rotate_n and reflect return a constant
+                 unchanged
+
+A constant (no denominator, at most one numerator row) does not depend on
+phi.  A nonzero constant is a unit, so a product with one is already
+canonical: the rows are scaled (times a rational) or multiplied by the
+constant's row (``FieldCtx.mul_rows``), the denominator is kept, and x * 1
+is x itself.
 
 The numerator ``num`` is a tuple of coordinate rows, one per power of z and
 no trailing zero row; each row is the ``canon_row`` of a scalar's power-basis
@@ -283,10 +291,16 @@ def _monic_atoms(ctx: FieldCtx, work: list) -> dict:
     return atoms
 
 
+def _pair_sort_key(pair):
+    return _atom_sort_key(pair[0])
+
+
 def _den_tuple(den: dict) -> tuple:
     """The canonical denominator: (atom, multiplicity) pairs in atom order."""
-    return tuple(sorted(((a, m) for a, m in den.items() if m > 0),
-                        key=lambda am: _atom_sort_key(am[0])))
+    pairs = [(a, m) for a, m in den.items() if m > 0]
+    if len(pairs) > 1:
+        pairs.sort(key=_pair_sort_key)
+    return tuple(pairs)
 
 
 def _cancel(ctx: FieldCtx, num, den) -> tuple[list, dict]:
@@ -357,6 +371,10 @@ class ZRat:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def is_const(self) -> bool:
+        """True if f does not depend on phi (zero included)."""
+        return not self.den and len(self.num) < 2
 
     def den_poly(self) -> list:
         """The monic dense denominator (product of the atoms)."""
@@ -434,8 +452,15 @@ class ZRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return ZRat(self.ctx, (), ())
+        if self.is_zero():
+            return self
+        if o.is_zero():
+            return o
+        # a nonzero constant is a unit
+        if o.is_const():
+            return self._times_unit(o.num[0])
+        if self.is_const():
+            return o._times_unit(self.num[0])
         ctx = self.ctx
         # Each operand is reduced, so an atom of one denominator can cancel
         # only against the other numerator, and not at all if it is in both
@@ -453,6 +478,19 @@ class ZRat:
         return ZRat(ctx, tuple(_zp_mul(ctx, a, b)), _den_tuple(den))
 
     __rmul__ = __mul__
+
+    def _times_unit(self, row) -> "ZRat":
+        """self times the nonzero constant with coordinate row ``row``.  The
+        constant is a unit, so no atom can cancel and no row can vanish."""
+        ctx = self.ctx
+        c = row[0]
+        if any(row[1:]):
+            num = tuple(canon_row(ctx.mul_rows(r, row)) for r in self.num)
+        elif c == 1:
+            return self
+        else:
+            num = tuple(canon_row([c * v for v in r]) for r in self.num)
+        return ZRat(ctx, num, self.den)
 
     def inv(self) -> "ZRat":
         if self.is_zero():
@@ -490,7 +528,7 @@ class ZRat:
         """Substitute z -> rho^n z.  Bijective on canonical forms."""
         ctx = self.ctx
         n %= 2 * ctx.k
-        if n == 0 or self.is_zero():
+        if n == 0 or self.is_const():
             return self
         step = ctx.rho_exp
         den_deg = self.den_degree()
@@ -508,7 +546,7 @@ class ZRat:
 
     def reflect(self) -> "ZRat":
         """Substitute z -> 1/z.  Bijective on canonical forms."""
-        if self.is_zero():
+        if self.is_const():
             return self
         ctx = self.ctx
         dn = len(self.num) - 1
@@ -553,8 +591,8 @@ class ZRat:
     def d_phi(self) -> "ZRat":
         """The derivation d/dphi = i z d/dz."""
         ctx = self.ctx
-        if self.is_zero():
-            return self
+        if self.is_const():
+            return ZRat(ctx, (), ())
         num = _zp_deriv(list(self.num))
         if self.den:
             # f = N / prod a^e :  f' = (N' A - N B) / (A prod a^e)
@@ -847,14 +885,20 @@ class Coefficient:
                 out[key] = d
         return Coefficient(self.ctx, out)
 
+    def is_const(self) -> bool:
+        """True if no term depends on phi."""
+        return all(zr.is_const() for zr in self.terms.values())
+
     def rotate_n(self, n: int) -> "Coefficient":
         n %= 2 * self.ctx.k
-        if n == 0:
+        if n == 0 or self.is_const():
             return self
         return Coefficient(self.ctx, {key: zr.rotate_n(n)
                                       for key, zr in self.terms.items()})
 
     def reflect(self) -> "Coefficient":
+        if self.is_const():
+            return self
         return Coefficient(self.ctx, {key: zr.reflect()
                                       for key, zr in self.terms.items()})
 

@@ -382,7 +382,11 @@ def _rows_hk_two_forms(ops: OperatorSet):
                (-1, [ops.inv_r2, dphi, dphi]), (1, [ops.osc])]
         return ("ops", lhs, rhs)
 
-    return [("[main]", lambda: ops.HkExtPhi - ops.HkExtDr, numeric)]
+    def residual():
+        acc = deposit({}, ops.HkExtPhi)
+        return settle(ops.ctx, deposit(acc, ops.HkExtDr, -1))
+
+    return [("[main]", residual, numeric)]
 
 
 def _rows_hk_invariance(ops: OperatorSet):

@@ -329,12 +329,24 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
     if not weight:
         return acc
     two_k = 2 * x.ctx.k
+    # (key of y, i, e) -> that coefficient of y moved past R^i I^e, so each
+    # is reflected once and rotated once per i, not once per term of x.  The
+    # table belongs to this call and is dropped with it.
+    moved = {}
     for (p1, q1, i1, e1), c1 in x.terms.items():
-        for (p2, q2, i2, e2), c2 in y.terms.items():
+        for key2, c2 in y.terms.items():
+            p2, q2, i2, e2 = key2
             # commute the group part of term 1 past c2 ...
-            c2p = c2.reflect() if e1 else c2
-            if i1:
-                c2p = c2p.rotate_n(i1)
+            c2p = moved.get((key2, i1, e1))
+            if c2p is None:
+                c2p = c2
+                if e1:
+                    c2p = moved.get((key2, 0, 1))
+                    if c2p is None:
+                        c2p = moved[key2, 0, 1] = c2.reflect()
+                if i1:
+                    c2p = c2p.rotate_n(i1)
+                moved[key2, i1, e1] = c2p
             # ... and past dphi^{q2} (I dphi = -dphi I)
             sign = -weight if e1 and q2 % 2 else weight
             if project:

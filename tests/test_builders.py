@@ -120,6 +120,33 @@ def test_extension_forms_and_ingredient_reuse():
         build_extended_Hk(2, "sideways")
 
 
+@pytest.mark.parametrize("mutation", [None, "b-shift", "dr-drop"])
+def test_extension_keeps_the_chained_term_order(mutation):
+    """Both assemblies equal the chained sums and keep their insertion order
+    of terms and monomials, which is the order the oracle sums weights in."""
+    for k in (1, 2, 3, 4, 5):
+        ctx = ctx_new(k)
+        dr, dphi = build_Dr(ctx, mutation), build_Dphi(ctx, mutation)
+        dphi2 = dphi * dphi
+        inv_r, inv_r2, osc = op_r(ctx, -1), op_r(ctx, -2), \
+            op_r(ctx, 2) * op_param(ctx, "w2")
+        radial = -op_dr(ctx) * op_dr(ctx) - inv_r * op_dr(ctx)
+        bracket = op_one(ctx) + 2 * build_reflection_tail(ctx)
+        chained = {
+            "via_Dphi": radial - inv_r2 * (dphi2 - build_counterterm(ctx))
+            + osc,
+            "via_Dr": -(dr * dr) - inv_r * (bracket * dr) - inv_r2 * dphi2
+            + osc,
+        }
+        for form, want in chained.items():
+            got = build_extended_Hk(ctx, form, mutation, _dr=dr,
+                                    _dphi2=dphi2)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            for key, c in got.terms.items():
+                assert list(c.terms) == list(want.terms[key].terms)
+
+
 def test_builders_accept_ctx_or_k():
     ctx = ctx_new(3)
     assert build_Dr(ctx) == build_Dr(3)

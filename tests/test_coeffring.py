@@ -292,6 +292,61 @@ def test_product_skips_the_atoms_both_denominators_share(monkeypatch):
             assert got == ZRat._make(ctx, _zp_mul(ctx, x.num, y.num), den)
 
 
+def _constants(ctx):
+    """The unit, a rational, i, zeta^j, 1 + i and zero, as ZRat constants."""
+    ii = ctx.imag_unit()
+    values = [1, RAT(-7, 3), ii, ctx.root_power(1), ctx.root_power(ctx.N - 1),
+              ctx.one() + ii, 0]
+    return [ZRat.const(ctx, v) for v in values]
+
+
+def _general_product(x, y):
+    """x * y the long way: one convolution over the joint denominator,
+    reduced by trial division by each of its atoms."""
+    den = dict(x.den)
+    for atom, m in y.den:
+        den[atom] = den.get(atom, 0) + m
+    return ZRat._make(x.ctx, _zp_mul(x.ctx, x.num, y.num), den)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_constants_take_the_short_paths(k):
+    ctx = ctx_new(k)
+    one = ZRat.const(ctx, 1)
+    others = [trig(ctx, "tan_shift", 0), trig(ctx, "csc2_shift", k - 1),
+              trig(ctx, "sec_k"), ZRat.z_power(ctx, -2),
+              ZRat.from_poly(ctx, [RAT(1, 3), 0, ctx.imag_unit()])]
+    consts = _constants(ctx)
+    for x in others + consts:
+        assert x * one is x and one * x == x
+    for x in others:
+        assert one * x is x
+    for c in consts:
+        assert c.is_const()
+        assert c.reflect() is c
+        for n in range(2 * k):
+            assert c.rotate_n(n) is c
+        assert c.d_phi() == ZRat.const(ctx, 0)
+        assert c.conj() == ZRat.const(ctx, CycloScalar(ctx, c.num[0]).conj()
+                                      if c.num else 0)
+    assert ZRat.const(ctx, RAT(-7, 3)).conj() == ZRat.const(ctx, RAT(-7, 3))
+    for x in others:
+        assert not x.is_const()
+        for c in consts:
+            for got in (x * c, c * x):
+                want = _general_product(x, c)
+                assert got == want and _exact(got.num) == _exact(want.num)
+    for c in consts:
+        for d in consts:
+            assert _exact((c * d).num) == _exact(_general_product(c, d).num)
+    # a Coefficient all of whose terms are constant is fixed as it stands
+    coeff = Coefficient(ctx, {(0, 1, 0, 0): consts[2], (-2, 0, 0, 1): one})
+    assert coeff.reflect() is coeff and coeff.rotate_n(1) is coeff
+    moving = Coefficient(ctx, {(0, 1, 0, 0): consts[2], (0, 0, 0, 0): others[0]})
+    assert moving.reflect().terms == {(0, 1, 0, 0): consts[2],
+                                      (0, 0, 0, 0): others[0].reflect()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(k=st.sampled_from([1, 2, 3]),
        coeffs=st.lists(st.integers(-4, 4), min_size=1, max_size=5),
@@ -428,6 +483,21 @@ def _draw_poly(data, ctx, min_size=0, max_size=6):
     return [CycloScalar(ctx, row) for row in rows]
 
 
+def _draw_const(data, ctx):
+    """A constant scalar: 0, 1, a rational, i, a power of zeta, 1 + i, or
+    any one-row polynomial."""
+    kind = data.draw(st.sampled_from(
+        ["0", "1", "rational", "i", "zeta^j", "1+i", "any"]))
+    if kind == "rational":
+        return ctx.scalar(data.draw(_COORD))
+    if kind == "zeta^j":
+        return ctx.root_power(data.draw(st.integers(0, ctx.N - 1)))
+    if kind == "any":
+        return _draw_poly(data, ctx, min_size=1, max_size=1)[0]
+    return {"0": ctx.zero(), "1": ctx.one(), "i": ctx.imag_unit(),
+            "1+i": ctx.one() + ctx.imag_unit()}[kind]
+
+
 def _draw_atom(data, ctx):
     kind = data.draw(st.sampled_from(["z", "lin", "quad"]))
     if kind == "z":
@@ -445,6 +515,13 @@ def test_kernels_match_the_scalar_reference(k, data):
     b = _draw_poly(data, ctx)
     assert (_exact(_zp_mul(ctx, _rows(a), _rows(b)))
             == _exact(_ref_mul(ctx, a, b)))
+
+    # a product with a constant, in both orders, takes the unit path
+    c = _draw_const(data, ctx)
+    f = ZRat(ctx, tuple(_rows(_ref_trim(list(a)))), ())
+    expect = _exact(_ref_mul(ctx, _ref_trim(list(a)), [c]))
+    assert _exact((f * ZRat.const(ctx, c)).num) == expect
+    assert _exact((ZRat.const(ctx, c) * f).num) == expect
 
     m = data.draw(st.integers(-2 * ctx.N, 2 * ctx.N))
     assert (_exact([_zeta_times(ctx, m, c.coeffs) for c in a])
@@ -480,8 +557,8 @@ def test_kernels_match_the_scalar_reference(k, data):
 
 
 def _leaves(ctx, data):
-    """Trig kinds at every shift, negative powers of z and polynomials, two
-    of them with rational coordinates."""
+    """Trig kinds at every shift, negative powers of z, constants and
+    polynomials, two of them with rational coordinates."""
     out = [ZRat.from_poly(ctx, [RAT(1, 3), 0, RAT(4, 2)]),
            ZRat.from_poly(ctx, [0, RAT(-2, 3) * ctx.root_power(1)])]
     for kind in TRIG_KINDS:
@@ -490,6 +567,7 @@ def _leaves(ctx, data):
         shifts = range(2 * ctx.k) if kind.endswith("_shift") else [0]
         out += [trig(ctx, kind, j) for j in shifts]
     out += [ZRat.z_power(ctx, -m) for m in (1, 2, 3)]
+    out += [ZRat.const(ctx, _draw_const(data, ctx)) for _ in range(3)]
     terms = st.tuples(st.integers(-3, 3), st.integers(0, ctx.N - 1))
     for _ in range(3):
         poly = data.draw(st.lists(terms, min_size=1, max_size=4))

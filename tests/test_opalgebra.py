@@ -423,3 +423,19 @@ def test_residuals_match_the_reference_chains(k, mutation):
         _assert_canonical_op(residual)
         rows += 1
     assert rows >= 15
+
+
+def test_product_reflects_each_right_coefficient_once(monkeypatch):
+    """accumulate moves each coefficient of the right factor past I once per
+    product, however many terms of the left factor carry I."""
+    ops = identities.operator_set(3)
+    x, y = ops.HkExtPhi, ops.Dphi
+    assert sum(e for (_, _, _, e) in x.terms) == 2 * ops.ctx.k
+    want = x * y
+    reflected = []
+    reflect = Coefficient.reflect
+    monkeypatch.setattr(Coefficient, "reflect",
+                        lambda c: reflected.append(c) or reflect(c))
+    assert x * y == want
+    assert len(reflected) == len(y.terms)
+    assert {id(c) for c in reflected} == {id(c) for c in y.terms.values()}
