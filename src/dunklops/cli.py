@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fnmatch import fnmatchcase
 
 from .builders import MUTATIONS, OPERATORS
 from .cyclofield import ctx_new, max_k_ceiling
 from .errors import DunklopsError, ParseError
 from .exprparse import parse_op, pretty
-from .identities import DEFAULT_SEED, operator_set, run_suite
+from .identities import CHECK_IDS, DEFAULT_SEED, operator_set, run_suite
 from .opalgebra import commutator
 
 __all__ = ["main", "parse_k_list"]
@@ -91,8 +93,12 @@ def _emit(reports, args) -> None:
     else:
         payload = "\n".join(_report_lines(reports))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") \
+                from None
     else:
         print(payload)
 
@@ -100,12 +106,27 @@ def _emit(reports, args) -> None:
 def _check_numeric_flags(args) -> None:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--tol must be finite and positive")
+
+
+def _check_suite_patterns(text: str) -> None:
+    """Refuse a --suite list with a pattern that matches no check id, so a
+    typo does not verify nothing and pass."""
+    patterns = [pat.strip() for pat in text.split(",") if pat.strip()]
+    if not patterns:
+        raise ValueError("--suite names no check pattern")
+    unmatched = [pat for pat in patterns
+                 if not any(fnmatchcase(cid, pat) for cid in CHECK_IDS)]
+    if unmatched:
+        raise ValueError("--suite pattern matches no check id: "
+                         + ", ".join(unmatched))
 
 
 def cmd_verify(args) -> int:
     _check_numeric_flags(args)
+    if args.suite is not None:
+        _check_suite_patterns(args.suite)
     ks = parse_k_list(args.k, max_k_ceiling())
     reports = run_suite(
         ks, suite_filter=args.suite, mutation=args.mutate,

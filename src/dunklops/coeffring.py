@@ -17,7 +17,11 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     a + b        the atoms with the same multiplicity in both denominators
     a * b        the atoms of each denominator that are not in the other,
                  on the other numerator, before multiplying; none when
-                 either factor is a constant (see below)
+                 either factor is a constant (see below).  The products
+                 summed by ``opalgebra.accumulate`` do not come here: it
+                 files each bare numerator product under the sum of the
+                 two denominators and defers the cancellation to
+                 ``settle``, one reduction by all atoms per group
     d_phi        only z; nothing for a constant, whose d_phi is 0
     inv          none
     rotate_n, reflect, conj, neg   none (they map canonical forms to

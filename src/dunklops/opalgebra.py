@@ -10,12 +10,16 @@ phi -> -phi; both commute with dr, while I dphi = -dphi I.  Products are
 normal-ordered on the fly with the Leibniz rule, so equality of expressions
 is literal equality of the term maps.
 
-A product is a multiply-accumulate: ``accumulate`` deposits each part of
-x * y as numerator rows under its operator key, coefficient monomial and
+A product is a multiply-accumulate: ``accumulate`` adds each part of x * y
+into the numerator rows kept under its operator key, coefficient monomial and
 denominator, and ``settle`` reduces each same-denominator group once, then
-adds the distinct denominators pairwise.  Sums of products (``commutator``,
-``anticommutator``, the suite's residuals) put every product into one
-accumulator, so parts that cancel do so before any cross-denominator sum.
+adds the distinct denominators pairwise.  No part becomes a ``ZRat`` on the
+way: a constant factor is a unit, folded with the part's integer factor into
+the add, and a part of two non-constant factors is the bare product of their
+numerators, filed under the sum of their denominators, its cancellation left
+to ``settle``.  Sums of products (``commutator``, ``anticommutator``, the
+suite's residuals) put every product into one accumulator, so parts that
+cancel do so before any cross-denominator sum.
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -41,7 +45,7 @@ from __future__ import annotations
 from math import comb
 
 from ._rat import RAT
-from .coeffring import Coefficient, ZRat, _zp_add
+from .coeffring import Coefficient, ZRat, _den_tuple, _zp_mul
 from .cyclofield import (CycloScalar, FieldCtx, binary_power, canon_row,
                          ctx_new)
 from .errors import AlgebraError, FieldError
@@ -285,38 +289,90 @@ def op_I(ctx: FieldCtx) -> OpExpr:
 # sums of products: one multiply-accumulate
 # ---------------------------------------------------------------------------
 # An accumulator is a dict
-#     (p, q, i, e) -> (m, alpha, beta, gamma) -> denominator -> [rows, parts]
-# holding, for each operator key, coefficient monomial and canonical ZRat
-# denominator, the numerator rows of the parts deposited there so far and
-# their number.  Parts over one denominator add as rows, with no cofactor and
-# no trial division; ``settle`` reduces each such group once and only then
-# adds the distinct-denominator subtotals as ZRats.  The canonical form is
-# unique, so the result does not depend on the order of the parts.
+#     (p, q, i, e) -> (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
+# holding, for each operator key, coefficient monomial and denominator, the
+# sum of the numerator rows of the parts deposited there so far.  No part
+# becomes a ZRat on the way.  A part with a constant factor is a unit times
+# the other factor, so it goes under that factor's canonical denominator, the
+# unit and the part's integer factor folded into the add.  A part of two
+# non-constant factors goes under the sum of their denominators' atom
+# multiplicities as the plain product of the numerators, with no trial
+# division.  ``rows`` is the first part's tuple of canonical rows until a
+# second part arrives; it is then copied into lists, and each further part is
+# added into them in place.  ``cancel`` is set once the slot holds more than
+# one part or an unreduced product.  ``settle`` makes each row canonical,
+# reduces each slot with ``cancel`` by trial division by all its atoms, and
+# only then adds the distinct-denominator subtotals as ZRats.  The canonical
+# form is unique, so the result depends neither on the order of the parts nor
+# on the denominator a part is filed under.
 
 
-def _deposit(monos: dict, mono: tuple, zr: ZRat, factor: int) -> None:
-    """monos[mono] += factor * zr, for a nonzero canonical zr and factor."""
-    num = zr.num
-    if factor != 1:
-        num = [canon_row([factor * v for v in row]) for row in num]
-    dens = monos.setdefault(mono, {})
-    slot = dens.get(zr.den)
+def _deposit(ctx: FieldCtx, monos: dict, mono: tuple, den: tuple, rows,
+             c, unit=None, cancel: bool = False) -> None:
+    """monos[mono][den] += c * unit * rows, for nonzero canonical rows, a
+    nonzero rational c and a field-unit row ``unit`` (None for 1)."""
+    if unit is not None:
+        unit = [c * v for v in unit]
+        rows, c = [ctx.mul_rows(row, unit) for row in rows], 1
+    dens = monos.get(mono)
+    if dens is None:
+        dens = monos[mono] = {}
+    slot = dens.get(den)
     if slot is None:
-        dens[zr.den] = [num, 1]
+        if c != 1:
+            rows = [[c * v for v in row] for row in rows]
+        dens[den] = [rows, cancel]
+        return
+    acc = slot[0]
+    if type(acc) is tuple:
+        acc = slot[0] = [list(row) for row in acc]
+    slot[1] = True
+    for _ in range(len(rows) - len(acc)):
+        acc.append([0] * ctx.deg)
+    for out, row in zip(acc, rows):
+        for t, v in enumerate(row):
+            if v:
+                out[t] += c * v
+
+
+def _deposit_product(ctx: FieldCtx, monos: dict, mono: tuple, z1: ZRat,
+                     z2: ZRat, factor: int) -> None:
+    """monos[mono] += factor * z1 * z2, for nonzero canonical z1 and z2."""
+    if z2.is_const():
+        unit, zr = z2.num[0], z1
+    elif z1.is_const():
+        unit, zr = z1.num[0], z2
     else:
-        slot[0] = _zp_add(slot[0], num)
-        slot[1] += 1
+        den = z1.den
+        if not den:
+            den = z2.den
+        elif z2.den:
+            den = dict(den)
+            for atom, m in z2.den:
+                den[atom] = den.get(atom, 0) + m
+            den = _den_tuple(den)
+        _deposit(ctx, monos, mono, den, tuple(_zp_mul(ctx, z1.num, z2.num)),
+                 factor, cancel=True)
+        return
+    if any(unit[1:]):
+        _deposit(ctx, monos, mono, zr.den, zr.num, factor, unit)
+    else:
+        c = unit[0] * factor
+        if type(c) is RAT and c.denominator == 1:
+            c = c.numerator
+        _deposit(ctx, monos, mono, zr.den, zr.num, c)
 
 
 def deposit(acc: dict, x: OpExpr, weight: int = 1,
             project: bool = False) -> dict:
     """acc += weight * x; with ``project`` every R^i I^e is replaced by 1."""
     if weight:
+        ctx = x.ctx
         for (p, q, i, e), c in x.terms.items():
             monos = acc.setdefault((p, q, 0, 0) if project else (p, q, i, e),
                                    {})
             for mono, zr in c.terms.items():
-                _deposit(monos, mono, zr, weight)
+                _deposit(ctx, monos, mono, zr.den, zr.num, weight)
     return acc
 
 
@@ -328,7 +384,8 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
         raise FieldError("mixed field contexts in operator arithmetic")
     if not weight:
         return acc
-    two_k = 2 * x.ctx.k
+    ctx = x.ctx
+    two_k = 2 * ctx.k
     # (key of y, i, e) -> that coefficient of y moved past R^i I^e, so each
     # is reflected once and rotated once per i, not once per term of x.  The
     # table belongs to this call and is dropped with it.
@@ -373,8 +430,9 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
                         (p1 - s + p2, q1 - t + q2, i_out, e_out), {})
                     for (m1, a1, b1, g1), z1 in c1.terms.items():
                         for (m2, a2, b2, g2), z2 in g.items():
-                            _deposit(monos, (m1 + m2, a1 + a2, b1 + b2,
-                                             g1 + g2), z1 * z2, factor)
+                            _deposit_product(
+                                ctx, monos, (m1 + m2, a1 + a2, b1 + b2,
+                                             g1 + g2), z1, z2, factor)
     return acc
 
 
@@ -394,11 +452,15 @@ def settle(ctx: FieldCtx, acc: dict) -> OpExpr:
     for key, monos in acc.items():
         terms = {}
         for mono, dens in monos.items():
-            # a single part is canonical as it was deposited
-            subtotals = [ZRat(ctx, tuple(num), den) if parts == 1
-                         else ZRat._make(ctx, num, dict(den))
-                         for den, (num, parts) in dens.items()]
-            subtotals = [zr for zr in subtotals if not zr.is_zero()]
+            subtotals = []
+            for den, (rows, cancel) in dens.items():
+                if type(rows) is not tuple:
+                    rows = tuple(map(canon_row, rows))
+                # a lone unit multiple of a canonical part is canonical
+                zr = (ZRat._make(ctx, rows, dict(den)) if cancel
+                      else ZRat(ctx, rows, den))
+                if zr.num:
+                    subtotals.append(zr)
             if subtotals:
                 total = _pairwise_sum(subtotals)
                 if not total.is_zero():

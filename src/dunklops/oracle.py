@@ -519,12 +519,19 @@ def _per_angle(f):
     return lambda phi: np.array([f(x) for x in phi])
 
 
+def _check_run(trials: int, tol: float) -> None:
+    if trials < 1:
+        raise OracleError("trials must be at least 1")
+    # no deviation exceeds a NaN or infinite tolerance, so every run passes
+    if not math.isfinite(tol):
+        raise OracleError(f"tol must be finite, got {tol!r}")
+
+
 def numeric_check(lhs: OpExpr, rhs: OpExpr, trials: int = 100,
                   tol: float = 1e-9, seed: int = DEFAULT_SEED) -> OracleReport:
     """Compare two operators on ``trials`` random (test function, point)
     pairs; pass iff the largest relative deviation stays below ``tol``."""
-    if trials < 1:
-        raise OracleError("trials must be at least 1")
+    _check_run(trials, tol)
     if lhs.ctx is not rhs.ctx:
         raise OracleError("operands live in different field contexts")
     return _run_ops(lhs.ctx, [(1, [lhs])], [(1, [rhs])],
@@ -537,8 +544,7 @@ def numeric_check_spec(spec, k: int, trials: int = 100, tol: float = 1e-9,
     ("ops", lhs, rhs), ("ops-invariant", lhs, rhs) with lists of weighted
     operator chains, ("angle-array", f, g) with callables of an array of
     angles, or ("angle", f, g) with plain callables of one angle."""
-    if trials < 1:
-        raise OracleError("trials must be at least 1")
+    _check_run(trials, tol)
     kind = spec[0]
     if kind in ("angle", "angle-array"):
         f, g = spec[1], spec[2]

@@ -121,6 +121,46 @@ def test_verify_flag_validation(capsys):
     assert code == 2                      # argparse rejects the choice
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_exits_2(capsys, tol):
+    """No deviation exceeds NaN or infinity, so such a --tol would pass
+    every comparison; both commands refuse it before running anything."""
+    for argv in (["verify", "--k", "1", "--oracle", f"--tol={tol}"],
+                 ["oracle", "--k", "2", "R", "I", f"--tol={tol}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: --tol"), argv
+
+
+def test_verify_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, out, err = run_cli(capsys, "verify", "--k", "1", "--json",
+                                 "--out", str(target))
+        assert code == 2, target
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_suite_pattern_matching_nothing_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--k", "2",
+                             "--suite", "dr_prop")
+    assert (code, out) == (2, "")
+    assert err == "error: --suite pattern matches no check id: dr_prop\n"
+    code, out, err = run_cli(capsys, "verify", "--k", "2",
+                             "--suite", "dr_props, trig_x,nothing*")
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith("no check id: trig_x, nothing*")
+    code, _, err = run_cli(capsys, "verify", "--k", "2", "--suite", " , ")
+    assert code == 2 and err.startswith("error: --suite")
+    code, out, _ = run_cli(capsys, "verify", "--k", "2",
+                           "--suite", "dr_props,trig_*")
+    assert code == 0
+    assert out.splitlines()[-1] == "-- 6 pass, 0 fail, 4 skipped"
+
+
 def test_k_ceiling_message(capsys):
     code, _, err = run_cli(capsys, "verify", "--k", "99")
     assert code == 2

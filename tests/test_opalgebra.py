@@ -439,3 +439,75 @@ def test_product_reflects_each_right_coefficient_once(monkeypatch):
     assert x * y == want
     assert len(reflected) == len(y.terms)
     assert {id(c) for c in reflected} == {id(c) for c in y.terms.values()}
+
+
+# ---------------------------------------------------------------------------
+# the accumulator's in-place paths
+# ---------------------------------------------------------------------------
+
+
+def _poly(ctx, *coeffs):
+    return ZRat.from_poly(ctx, coeffs)
+
+
+def test_a_single_general_part_cancels_its_cross_atom():
+    """(z - 1) * 1/(z - 1): neither factor is constant, so the part is filed
+    unreduced under the atom z - 1, and settle must still cancel it."""
+    ctx = ctx_new(2)
+    lin = _poly(ctx, -1, 1)
+    x, y = op_coeff(ctx, lin), op_coeff(ctx, lin.inv())
+    assert not lin.is_const() and not lin.inv().is_const()
+    assert x * y == op_one(ctx)
+    assert y * x == op_one(ctx)
+    assert type((x * y).terms[0, 0, 0, 0].terms[0, 0, 0, 0].num[0][0]) is int
+
+
+def test_an_atom_cancels_only_once_two_general_parts_are_summed():
+    """z^2/(z - 1) + (1 - 2z)/(z - 1) = z - 1, though neither part reduces."""
+    ctx = ctx_new(2)
+    g = op_coeff(ctx, _poly(ctx, -1, 1).inv())
+    first = op_coeff(ctx, _poly(ctx, 0, 0, 1))
+    second = op_coeff(ctx, _poly(ctx, 1, -2))
+    for part in (g * first, g * second):
+        (zr,) = part.terms[0, 0, 0, 0].terms.values()
+        assert zr.den
+    acc = accumulate(accumulate({}, g, first), g, second)
+    total = settle(ctx, acc)
+    assert total == op_coeff(ctx, _poly(ctx, -1, 1))
+    _assert_canonical_op(total)
+
+
+def test_a_folded_rational_unit_settles_to_int_coordinates():
+    """Half of 3z/(z - 1) has coordinates 3/2; two halves, or one half with
+    the integer factor 2 folded in, settle to the int 3, not a RAT."""
+    ctx = ctx_new(2)
+    half = op_coeff(ctx, RAT(1, 2))
+    f = op_coeff(ctx, _poly(ctx, 0, 3) * _poly(ctx, -1, 1).inv())
+    assert {type(v) for zr in (half * f).terms[0, 0, 0, 0].terms.values()
+            for row in zr.num for v in row} == {int, RAT}
+    for acc in (accumulate(accumulate({}, half, f), f, half),
+                accumulate({}, half, f, 2)):
+        total = settle(ctx, acc)
+        assert total == f
+        (zr,) = total.terms[0, 0, 0, 0].terms.values()
+        assert all(type(v) is int for row in zr.num for v in row)
+        _assert_canonical_op(total)
+
+
+def test_a_product_builds_no_zrat_product(monkeypatch):
+    """HkExtPhi * Dphi2 at k = 3 adds every part into its slot's rows: its
+    144 parts with a constant factor fold the unit into the add, and the
+    others multiply numerators and leave the cancellation to settle."""
+    ops = identities.operator_set(3)
+    x, y = ops.HkExtPhi, ops.Dphi2
+    want = x * y
+    calls = []
+    mul = ZRat.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(ZRat, "__mul__", counting)
+    monkeypatch.setattr(ZRat, "__rmul__", counting)
+    assert x * y == want
+    assert calls == []

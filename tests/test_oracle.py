@@ -172,6 +172,18 @@ def test_argument_validation():
         numeric_check_spec(("nonsense", None, None), 2)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_is_refused(tol):
+    ctx = ctx_new(2)
+    with pytest.raises(OracleError, match="tol must be finite"):
+        numeric_check(op_R(ctx), op_I(ctx), tol=tol)
+    with pytest.raises(OracleError, match="tol must be finite"):
+        numeric_check_spec(("ops", [(1, [op_R(ctx)])], [(1, [op_I(ctx)])]),
+                           2, tol=tol)
+    with pytest.raises(OracleError, match="tol must be finite"):
+        numeric_check_spec(("angle", math.cos, math.sin), 2, tol=tol)
+
+
 def test_report_is_deterministic_and_seed_sensitive():
     x, y = build_Dr(2), build_Dr(2, mutation="dr-drop")
     first = numeric_check(x, y, trials=25, seed=42)
