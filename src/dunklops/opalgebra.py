@@ -290,21 +290,14 @@ def op_I(ctx: FieldCtx) -> OpExpr:
 # ---------------------------------------------------------------------------
 # An accumulator is a dict
 #     (p, q, i, e) -> (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
-# holding, for each operator key, coefficient monomial and denominator, the
-# sum of the numerator rows of the parts deposited there so far.  No part
-# becomes a ZRat on the way.  A part with a constant factor is a unit times
-# the other factor, so it goes under that factor's canonical denominator, the
-# unit and the part's integer factor folded into the add.  A part of two
-# non-constant factors goes under the sum of their denominators' atom
-# multiplicities as the plain product of the numerators, with no trial
-# division.  ``rows`` is the first part's tuple of canonical rows until a
-# second part arrives; it is then copied into lists, and each further part is
-# added into them in place.  ``cancel`` is set once the slot holds more than
-# one part or an unreduced product.  ``settle`` makes each row canonical,
-# reduces each slot with ``cancel`` by trial division by all its atoms, and
-# only then adds the distinct-denominator subtotals as ZRats.  The canonical
-# form is unique, so the result depends neither on the order of the parts nor
-# on the denominator a part is filed under.
+# summing, for each operator key, coefficient monomial and denominator, the
+# numerator rows of the parts deposited there.  ``rows`` is the first part's
+# tuple of canonical rows until a second part arrives; it is then copied into
+# lists that each further part is added into.  ``cancel`` marks a slot that
+# holds more than one part or an unreduced product; ``settle`` reduces only
+# those, by all their atoms, before it adds the distinct denominators.  The
+# canonical form is unique, so the result depends neither on the order of the
+# parts nor on the denominator a part is filed under.
 
 
 def _deposit(ctx: FieldCtx, monos: dict, mono: tuple, den: tuple, rows,
@@ -343,16 +336,11 @@ def _deposit_product(ctx: FieldCtx, monos: dict, mono: tuple, z1: ZRat,
     elif z1.is_const():
         unit, zr = z1.num[0], z2
     else:
-        den = z1.den
-        if not den:
-            den = z2.den
-        elif z2.den:
-            den = dict(den)
-            for atom, m in z2.den:
-                den[atom] = den.get(atom, 0) + m
-            den = _den_tuple(den)
-        _deposit(ctx, monos, mono, den, tuple(_zp_mul(ctx, z1.num, z2.num)),
-                 factor, cancel=True)
+        den = dict(z1.den)
+        for atom, m in z2.den:
+            den[atom] = den.get(atom, 0) + m
+        _deposit(ctx, monos, mono, _den_tuple(den),
+                 tuple(_zp_mul(ctx, z1.num, z2.num)), factor, cancel=True)
         return
     if any(unit[1:]):
         _deposit(ctx, monos, mono, zr.den, zr.num, factor, unit)
