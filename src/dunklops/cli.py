@@ -21,8 +21,10 @@ DUNKLOPS_MAX_K environment variable overrides the ceiling on k.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from fnmatch import fnmatchcase
 
@@ -123,10 +125,26 @@ def _check_suite_patterns(text: str) -> None:
                          + ", ".join(unmatched))
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an --out path that is a directory or lies in no directory
+    before the suite runs; nothing is created.  Other write errors show up
+    when the report is written."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def cmd_verify(args) -> int:
     _check_numeric_flags(args)
     if args.suite is not None:
         _check_suite_patterns(args.suite)
+    if args.out:
+        _check_out_path(args.out)
     ks = parse_k_list(args.k, max_k_ceiling())
     reports = run_suite(
         ks, suite_filter=args.suite, mutation=args.mutate,

@@ -600,16 +600,23 @@ class ZRat:
         num = _zp_deriv(list(self.num))
         if self.den:
             # f = N / prod a^e :  f' = (N' A - N B) / (A prod a^e)
-            # with A = prod over distinct atoms, B = sum_a e_a a' A/a
-            # and a' = d z^(d - 1) for an atom z^d - zeta^s or z
-            distinct = [a for a, _ in self.den]
-            A = _atom_product(ctx, distinct)
-            B: list = []
+            # with A = prod over distinct atoms and B = sum_a e_a a' A/a.
+            # Grouped by multiplicity, with A_e the atoms at level e, the
+            # atoms of one level sum to A_e' A/A_e (the logarithmic
+            # derivative), so B = sum_e e A_e' A/A_e: e A' on one level.
+            levels: dict = {}
             for a, mult in self.den:
-                d = _atom_degree(a)
-                other = _atom_product(ctx, [b for b in distinct if b != a])
-                part = _zp_shift(ctx, other, d - 1)
-                B = _zp_add(B, [tuple(d * mult * v for v in row)
+                levels.setdefault(mult, []).append(a)
+            A = _atom_product(ctx, [a for a, _ in self.den])
+            B: list = []
+            for mult, atoms in levels.items():
+                if len(levels) == 1:
+                    part = _zp_deriv(A)
+                else:
+                    part = _zp_mul(ctx, _zp_deriv(_atom_product(ctx, atoms)),
+                                   _atom_product(ctx, [a for a, m in self.den
+                                                       if m != mult]))
+                B = _zp_add(B, [tuple(mult * v for v in row)
                                 for row in part])
             num = _zp_add(_zp_mul(ctx, num, A),
                           _zp_neg(_zp_mul(ctx, list(self.num), B)))

@@ -399,18 +399,28 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
             else:
                 i_out = (i1 - i2 if e1 else i1 + i2) % two_k
                 e_out = e1 ^ e2
-            # Leibniz: dr^{p1} dphi^{q1} acting on c2p times the rest
-            grid = [[None] * (q1 + 1) for _ in range(p1 + 1)]
-            grid[0][0] = c2p
-            for t in range(1, q1 + 1):
-                grid[0][t] = grid[0][t - 1].d_phi()
-            for s in range(1, p1 + 1):
-                for t in range(q1 + 1):
-                    grid[s][t] = grid[s - 1][t].d_r()
-            for s in range(p1 + 1):
+            # Leibniz: dr^{p1} dphi^{q1} acting on c2p times the rest.  Every
+            # derivative of zero is zero, so the dphi-derivatives stop at
+            # the first zero, and so does each column of dr-derivatives:
+            # cols[t][s] = dr^s dphi^t c2p.
+            cols = [[c2p]]
+            for _ in range(q1):
+                d = cols[-1][0].d_phi()
+                if not d.terms:
+                    break
+                cols.append([d])
+            for col in cols:
+                for _ in range(p1):
+                    d = col[-1].d_r()
+                    if not d.terms:
+                        break
+                    col.append(d)
+            for s in range(max(map(len, cols))):
                 cps = sign * comb(p1, s)
-                for t in range(q1 + 1):
-                    g = grid[s][t].terms
+                for t, col in enumerate(cols):
+                    if s >= len(col):
+                        continue
+                    g = col[s].terms
                     if not g:
                         continue
                     factor = cps * comb(q1, t)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklops import identities
+from dunklops import cli, identities
 from dunklops.builders import OPERATORS, build_Dphi
 from dunklops.cli import _resolve, main, parse_k_list
 from dunklops.cyclofield import ctx_new
@@ -142,6 +142,26 @@ def test_verify_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
         assert err.startswith("error: cannot write")
         assert len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_verify_out_is_checked_before_the_suite_runs(tmp_path, capsys,
+                                                     monkeypatch):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for target, reason in ((tmp_path, "Is a directory"),
+                           (tmp_path / "missing" / "report.json",
+                            "No such file or directory"),
+                           (tmp_path / "file" / "report.json",
+                            "Not a directory")):
+        code, out, err = run_cli(capsys, "verify", "--k", "1", "--json",
+                                 "--out", str(target))
+        assert (code, out) == (2, ""), target
+        assert err == f"error: cannot write {str(target)!r}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_verify_suite_pattern_matching_nothing_exits_2(capsys):
@@ -391,6 +411,24 @@ def test_power_work_is_a_parse_error():
         assert proc.returncode == code, (text, proc.stderr[-500:])
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+
+def test_constant_coefficients_end_the_leibniz_grid_early():
+    # (dr + R)^1024 ran past 40 s while every grid cell was derived, though
+    # the coefficients are constant: each dr-derivative of them is zero
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunklops", "norm", "--k", "2",
+         "(dr + R)^1024"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.count("dr^") > 1000
 
 
 def test_numpy_loads_only_with_the_oracle():

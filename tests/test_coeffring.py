@@ -5,15 +5,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dunklops._rat import RAT
 from dunklops import coeffring
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
-                                _atom_product, _divmod_atom, _zeta_times,
-                                _zp_mul, cot_k, factor_unit_binomial,
-                                trig)
+                                _atom_degree, _atom_product, _divmod_atom,
+                                _zeta_times, _zp_add, _zp_deriv, _zp_mul,
+                                _zp_neg, _zp_shift, cot_k,
+                                factor_unit_binomial, trig)
 from dunklops.cyclofield import CycloScalar, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 
@@ -629,3 +630,93 @@ def test_operations_keep_the_canonical_form(k, data):
         _assert_canonical(out)
         assert op != "+-" or out == x
         pool.append(out)
+
+
+# ---------------------------------------------------------------------------
+# a sum whose common atom cancels, and d_phi against its per-atom form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_a_sum_cancels_an_atom_both_denominators_hold_equally(k):
+    # 1/a^m + (a^m - 1)/a^m = 1, for a = z and a = z - zeta^s: the sum
+    # must try the atom that both denominators hold to the same power
+    ctx = ctx_new(k)
+    one = ZRat.const(ctx, 1)
+    for atom in (ZRat.z_power(ctx, 1), _atom_zrat(ctx, ("lin", 1)),
+                 _atom_zrat(ctx, ("lin", ctx.N - 1))):
+        for m in (1, 2):
+            inv = (atom ** m).inv()
+            assert inv + ((atom ** m - 1) * inv) == one, (atom, m)
+            assert ((atom ** m - 1) * inv) + inv == one, (atom, m)
+
+
+def _ref_d_phi(f):
+    """d_phi with B = sum_a e_a a' A/a, one product of the other atoms per
+    atom of the denominator."""
+    ctx = f.ctx
+    if f.is_const():
+        return ZRat(ctx, (), ())
+    num = _zp_deriv(list(f.num))
+    if f.den:
+        distinct = [a for a, _ in f.den]
+        A = _atom_product(ctx, distinct)
+        B = []
+        for a, mult in f.den:
+            d = _atom_degree(a)
+            other = _atom_product(ctx, [b for b in distinct if b != a])
+            B = _zp_add(B, [tuple(d * mult * v for v in row)
+                            for row in _zp_shift(ctx, other, d - 1)])
+        num = _zp_add(_zp_mul(ctx, num, A),
+                      _zp_neg(_zp_mul(ctx, list(f.num), B)))
+    num = _zp_shift(ctx, [_zeta_times(ctx, ctx.N // 4, row) for row in num], 1)
+    den = {a: m + 1 for a, m in f.den}
+    return ZRat._make(ctx, num, den, [ATOM_Z] if ATOM_Z in den else [])
+
+
+def _draw_zrat(data, ctx, levels):
+    """A canonical ZRat over distinct atoms of every kind, each atom at one
+    of the multiplicities in ``levels``, every level used."""
+    atoms = {}
+    for level in levels:
+        atoms[_draw_atom(data, ctx)] = level
+    for _ in range(data.draw(st.integers(0, 4))):
+        atoms[_draw_atom(data, ctx)] = data.draw(st.sampled_from(levels))
+    num = _rows(_draw_poly(data, ctx, max_size=4)) + [ctx.one().coeffs]
+    return ZRat._make(ctx, num, atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 8), data=st.data())
+def test_d_phi_matches_the_per_atom_reference(k, data):
+    ctx = ctx_new(k)
+    levels = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                                unique=True))
+    f = _draw_zrat(data, ctx, levels)
+    got, want = f.d_phi(), _ref_d_phi(f)
+    assert got.den == want.den
+    assert _exact(got.num) == _exact(want.num)
+
+
+def test_d_phi_forms_one_atom_product_on_one_level(monkeypatch):
+    # sec^2(5 phi): ten atoms, all squared
+    ctx = ctx_new(5)
+    f = trig(ctx, "sec2_k")
+    assert len(f.den) == 10 and {m for _, m in f.den} == {2}
+    made = []
+    atom_product = coeffring._atom_product
+    monkeypatch.setattr(coeffring, "_atom_product",
+                        lambda *args: made.append(1) or atom_product(*args))
+    assert f.d_phi() == _ref_d_phi(f)
+    assert len(made) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_d_phi_obeys_the_product_rule(k, data):
+    ctx = ctx_new(k)
+    f = _draw_zrat(data, ctx, [1])
+    g = _draw_zrat(data, ctx, [data.draw(st.integers(1, 2))])
+    fg = f * g
+    assume(len({m for _, m in fg.den}) >= 2)
+    assert fg.d_phi() == f.d_phi() * g + f * g.d_phi()
