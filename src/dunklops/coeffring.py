@@ -22,7 +22,8 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
                  files each bare numerator product under the sum of the
                  two denominators and defers the cancellation to
                  ``settle``, one reduction by all atoms per group
-    d_phi        only z; nothing for a constant, whose d_phi is 0
+    d_phi        only z (every other atom is prime to the new
+                 numerator); nothing for a constant, whose d_phi is 0
     inv          none
     rotate_n, reflect, conj, neg   none (they map canonical forms to
                  canonical forms); rotate_n and reflect return a constant
@@ -50,7 +51,11 @@ products in d_phi) needs no convolution either: each factor z^d - zeta^s
 shifts the rows by d and subtracts the rows times zeta^s, read from the
 reduced power table, so the rows stay reduced integer rows throughout.  The
 same zeta^m * row product multiplies by the units of rotate_n, reflect and
-d_phi.
+d_phi.  The d_phi of N / prod a^e needs B = sum_a e_a a' A/a with A the
+product of the distinct atoms; it is formed one multiplicity level at a
+time, as e A_e' A/A_e with A_e the atoms at level e (the logarithmic
+derivative), so on one level, as in every trig constructor, B is e A' and
+A is the only atom product made.
 
 A ``Coefficient`` is a polynomial in the radial variable r (integer, possibly
 negative, powers), the two reflection multiplicities a and b, and the squared
