@@ -29,7 +29,7 @@ from .coeffring import Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
 from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
-                        op_dphi, op_dr, op_one, op_zero, settle)
+                        op_dphi, op_dr, op_one, op_sum, settle)
 
 __all__ = [
     "build_R", "build_I", "build_S", "build_Dr", "build_Dphi",
@@ -69,10 +69,7 @@ def build_S(k) -> OpExpr:
     ctx = _as_ctx(k)
     if ctx.k % 2:
         raise AlgebraError(f"S requires even k, got k={ctx.k}")
-    total = op_zero(ctx)
-    for i in range((ctx.k - 2) // 2 + 1):
-        total = total + op_R(ctx, 4 * i)
-    return total
+    return op_sum(ctx, (op_R(ctx, 4 * i) for i in range((ctx.k - 2) // 2 + 1)))
 
 
 # -- Dunkl operators ------------------------------------------------------------
@@ -110,27 +107,23 @@ def build_Dphi(k, mutation: str | None = None) -> OpExpr:
     kk, two_k = ctx.k, 2 * ctx.k
     a_c = Coefficient.monomial(ctx, a=1)
     terms: dict = {(0, 1, 0, 0): Coefficient.one(ctx)}
-
-    def add(key, coeff):
-        cur = terms.get(key)
-        terms[key] = coeff if cur is None else cur + coeff
-
+    # the a-terms sit at odd powers of R, the b-terms at even ones
     if kk % 2:
         for i in range(kk):
-            add((0, 0, (kk + 2 * i) % two_k, 1),
-                a_c * trig(ctx, "tan_shift", i))
+            terms[0, 0, (kk + 2 * i) % two_k, 1] = \
+                a_c * trig(ctx, "tan_shift", i)
     else:
         plus = a_c * (trig(ctx, "tan_k") + trig(ctx, "sec_k"))
         minus = a_c * (trig(ctx, "tan_k") - trig(ctx, "sec_k"))
         for i in range((kk - 2) // 2 + 1):
-            add((0, 0, (two_k - 1 + 4 * i) % two_k, 1), plus)
-            add((0, 0, (1 + 4 * i) % two_k, 1), minus)
+            terms[0, 0, (two_k - 1 + 4 * i) % two_k, 1] = plus
+            terms[0, 0, (1 + 4 * i) % two_k, 1] = minus
     for i in range(kk):
         b_c = Coefficient.monomial(ctx, b=1)
         if i == 0 and mutation == "b-shift":
             b_c = b_c + Coefficient.one(ctx)
-        add((0, 0, 2 * i, 1), -(b_c * trig(ctx, "cot_shift", i)))
-    return OpExpr.make(ctx, terms)
+        terms[0, 0, 2 * i, 1] = -(b_c * trig(ctx, "cot_shift", i))
+    return OpExpr(ctx, terms)
 
 
 # -- Hamiltonians ------------------------------------------------------------------
@@ -141,7 +134,7 @@ def _potential(ctx: FieldCtx) -> Coefficient:
     k2 = ctx.scalar(ctx.k * ctx.k)
     sec2 = k2 * trig(ctx, "sec2_k")
     csc2 = k2 * trig(ctx, "csc2_k")
-    return Coefficient.make(ctx, {
+    return Coefficient(ctx, {
         (0, 2, 0, 0): sec2, (0, 1, 0, 0): -sec2,
         (0, 0, 2, 0): csc2, (0, 0, 1, 0): -csc2,
     })
@@ -151,7 +144,7 @@ def build_Hk(k) -> OpExpr:
     ctx = _as_ctx(k)
     pot = Coefficient.monomial(ctx, m=-2) * _potential(ctx)
     osc = Coefficient.monomial(ctx, m=2, w2=1)
-    return OpExpr.make(ctx, {
+    return OpExpr(ctx, {
         (2, 0, 0, 0): -Coefficient.one(ctx),
         (1, 0, 0, 0): -Coefficient.monomial(ctx, m=-1),
         (0, 2, 0, 0): -Coefficient.monomial(ctx, m=-2),
@@ -161,7 +154,7 @@ def build_Hk(k) -> OpExpr:
 
 def build_Xk(k) -> OpExpr:
     ctx = _as_ctx(k)
-    return OpExpr.make(ctx, {
+    return OpExpr(ctx, {
         (0, 2, 0, 0): -Coefficient.one(ctx),
         (0, 0, 0, 0): _potential(ctx),
     })
@@ -172,7 +165,7 @@ def build_counterterm(k) -> OpExpr:
     relating the angular square to the invariant Hamiltonian."""
     ctx = _as_ctx(k)
     kk = ctx.k
-    sq = Coefficient.make(ctx, {
+    sq = Coefficient(ctx, {
         (0, 2, 0, 0): ZRat.const(ctx, kk),
         (0, 0, 2, 0): ZRat.const(ctx, kk),
     })
@@ -189,7 +182,8 @@ def build_Dphi_squared_expanded(k) -> OpExpr:
     (no operator products; this is the hand-expanded closed form)."""
     ctx = _as_ctx(k)
     kk, two_k = ctx.k, 2 * ctx.k
-    total = OpExpr.make(ctx, {(0, 2, 0, 0): Coefficient.one(ctx)})
+    # d^2/dphi^2 + counterterm - (each group of terms below), settled once
+    acc = deposit({}, OpExpr(ctx, {(0, 2, 0, 0): Coefficient.one(ctx)}))
     a2 = Coefficient.monomial(ctx, a=2)
     ab1 = Coefficient.monomial(ctx, a=1)
     b2 = Coefficient.monomial(ctx, b=2)
@@ -197,27 +191,27 @@ def build_Dphi_squared_expanded(k) -> OpExpr:
     if kk % 2:
         for i in range(kk):
             s2 = trig(ctx, "sec2_shift", i)
-            total = total - OpExpr.make(ctx, {
+            deposit(acc, OpExpr(ctx, {
                 (0, 0, 0, 0): a2 * s2,
                 (0, 0, (kk + 2 * i) % two_k, 1): -(ab1 * s2),
-            })
+            }), -1)
     else:
         hd = trig(ctx, "half_diff_inv2")
         hs = trig(ctx, "half_sum_inv2")
         kc = ctx.scalar(kk)
         for i in range((kk - 2) // 2 + 1):
-            total = total - OpExpr.make(ctx, {
+            deposit(acc, OpExpr(ctx, {
                 (0, 0, 4 * i, 0): a2 * (kc * (hd + hs)),
                 (0, 0, (two_k - 1 + 4 * i) % two_k, 1): -(ab1 * (kc * hd)),
                 (0, 0, (1 + 4 * i) % two_k, 1): -(ab1 * (kc * hs)),
-            })
+            }), -1)
     for i in range(kk):
         c2 = trig(ctx, "csc2_shift", i)
-        total = total - OpExpr.make(ctx, {
+        deposit(acc, OpExpr(ctx, {
             (0, 0, 0, 0): b2 * c2,
             (0, 0, 2 * i, 1): -(bb1 * c2),
-        })
-    return total + build_counterterm(ctx)
+        }), -1)
+    return settle(ctx, deposit(acc, build_counterterm(ctx)))
 
 
 def build_extended_Hk(k, form: str = "via_Dphi", mutation: str | None = None,
@@ -238,7 +232,7 @@ def build_extended_Hk(k, form: str = "via_Dphi", mutation: str | None = None,
         _dphi2 = dphi * dphi
     osc = op_coeff(ctx, Coefficient.monomial(ctx, m=2, w2=1))
     if form == "via_Dphi":
-        radial = OpExpr.make(ctx, {
+        radial = OpExpr(ctx, {
             (2, 0, 0, 0): -Coefficient.one(ctx),
             (1, 0, 0, 0): -Coefficient.monomial(ctx, m=-1),
         })

@@ -17,11 +17,12 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     a + b        the atoms with the same multiplicity in both denominators
     a * b        the atoms of each denominator that are not in the other,
                  on the other numerator, before multiplying; none when
-                 either factor is a constant (see below).  The products
-                 summed by ``opalgebra.accumulate`` do not come here: it
-                 files each bare numerator product under the sum of the
-                 two denominators and defers the cancellation to
-                 ``settle``, one reduction by all atoms per group
+                 either factor is a constant (see below)
+    accumulated  ``Coefficient`` and operator sums and products go through
+                 the accumulator at the end of this module: it files each
+                 bare numerator product under the sum of the two
+                 denominators, and tries every atom once per group that
+                 holds more than one part or such a product
     d_phi        only z (every other atom is prime to the new
                  numerator); nothing for a constant, whose d_phi is 0
     inv          none
@@ -784,11 +785,6 @@ class Coefficient:
         self._hash = None
 
     @staticmethod
-    def make(ctx: FieldCtx, terms: dict) -> "Coefficient":
-        return Coefficient(ctx, {key: zr for key, zr in terms.items()
-                                 if not zr.is_zero()})
-
-    @staticmethod
     def zero(ctx: FieldCtx) -> "Coefficient":
         return Coefficient(ctx, {})
 
@@ -844,15 +840,8 @@ class Coefficient:
         o = self._coerce_scalarish(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, zr in o.terms.items():
-            cur = out.get(key)
-            tot = zr if cur is None else cur + zr
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return Coefficient(self.ctx, out)
+        return _settle_monos(self.ctx, _deposit_coefficient(
+            _deposit_coefficient({}, self), o))
 
     __radd__ = __add__
 
@@ -869,18 +858,8 @@ class Coefficient:
         o = self._coerce_scalarish(other)
         if o is None:
             return NotImplemented
-        out: dict = {}
-        for (m1, a1, b1, g1), z1 in self.terms.items():
-            for (m2, a2, b2, g2), z2 in o.terms.items():
-                key = (m1 + m2, a1 + a2, b1 + b2, g1 + g2)
-                prod = z1 * z2
-                cur = out.get(key)
-                tot = prod if cur is None else cur + prod
-                if tot.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
-        return Coefficient(self.ctx, out)
+        return _settle_monos(self.ctx, _deposit_products(
+            self.ctx, {}, self.terms, o.terms, 1))
 
     __rmul__ = __mul__
 
@@ -961,3 +940,121 @@ class Coefficient:
             bits.append(f"[{zr!r}]" + ("*" + "*".join(tags) if tags else ""))
         return " + ".join(bits)
 
+
+# ---------------------------------------------------------------------------
+# sums of products: one multiply-accumulate
+# ---------------------------------------------------------------------------
+# Every sum or product of coefficients, and every operator sum and product in
+# ``opalgebra``, is formed in a coefficient accumulator, a dict
+#     (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
+# summing, for each monomial and denominator, the numerator rows of the parts
+# deposited there.  ``rows`` is the first part's tuple of canonical rows until
+# a second part arrives; it is then copied into lists that each further part
+# is added into.  ``cancel`` marks a slot that holds more than one part or an
+# unreduced product; ``_settle_monos`` reduces only those, by all their atoms,
+# before it adds the distinct denominators.  No part becomes a ``ZRat`` on the
+# way: a constant factor is a unit, folded with the part's integer factor
+# into the add, and a part of two non-constant factors is the bare product of
+# their numerators, filed under the sum of their denominators.  The canonical
+# form is unique, so the result depends neither on the order of the parts nor
+# on the denominator a part is filed under.
+
+
+def _deposit(ctx: FieldCtx, monos: dict, mono: tuple, den: tuple, rows,
+             c, unit=None, cancel: bool = False) -> None:
+    """monos[mono][den] += c * unit * rows, for nonzero canonical rows, a
+    nonzero rational c and a field-unit row ``unit`` (None for 1)."""
+    if unit is not None:
+        unit = [c * v for v in unit]
+        rows, c = [ctx.mul_rows(row, unit) for row in rows], 1
+    dens = monos.get(mono)
+    if dens is None:
+        dens = monos[mono] = {}
+    slot = dens.get(den)
+    if slot is None:
+        if c != 1:
+            rows = [[c * v for v in row] for row in rows]
+        dens[den] = [rows, cancel]
+        return
+    acc = slot[0]
+    if type(acc) is tuple:
+        acc = slot[0] = [list(row) for row in acc]
+    slot[1] = True
+    for _ in range(len(rows) - len(acc)):
+        acc.append([0] * ctx.deg)
+    for out, row in zip(acc, rows):
+        for t, v in enumerate(row):
+            if v:
+                out[t] += c * v
+
+
+def _deposit_coefficient(monos: dict, c: Coefficient, weight=1) -> dict:
+    """monos += weight * c, for a nonzero rational weight."""
+    for mono, zr in c.terms.items():
+        _deposit(c.ctx, monos, mono, zr.den, zr.num, weight)
+    return monos
+
+
+def _deposit_product(ctx: FieldCtx, monos: dict, mono: tuple, z1: ZRat,
+                     z2: ZRat, factor) -> None:
+    """monos[mono] += factor * z1 * z2, for nonzero canonical z1 and z2."""
+    if z2.is_const():
+        unit, zr = z2.num[0], z1
+    elif z1.is_const():
+        unit, zr = z1.num[0], z2
+    else:
+        den = dict(z1.den)
+        for atom, m in z2.den:
+            den[atom] = den.get(atom, 0) + m
+        _deposit(ctx, monos, mono, _den_tuple(den),
+                 tuple(_zp_mul(ctx, z1.num, z2.num)), factor, cancel=True)
+        return
+    if any(unit[1:]):
+        _deposit(ctx, monos, mono, zr.den, zr.num, factor, unit)
+    else:
+        c = unit[0] * factor
+        if type(c) is RAT and c.denominator == 1:
+            c = c.numerator
+        _deposit(ctx, monos, mono, zr.den, zr.num, c)
+
+
+def _deposit_products(ctx: FieldCtx, monos: dict, terms1: dict,
+                      terms2: dict, factor) -> dict:
+    """monos += factor * c1 * c2 for the coefficients with these terms."""
+    for (m1, a1, b1, g1), z1 in terms1.items():
+        for (m2, a2, b2, g2), z2 in terms2.items():
+            _deposit_product(ctx, monos, (m1 + m2, a1 + a2, b1 + b2, g1 + g2),
+                             z1, z2, factor)
+    return monos
+
+
+def _pairwise_sum(parts: list):
+    """Balanced pairwise sum (keeps transient denominators shallow)."""
+    while len(parts) > 1:
+        nxt = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts = nxt
+    return parts[0]
+
+
+def _settle_monos(ctx: FieldCtx, monos: dict) -> Coefficient:
+    """The coefficient an accumulator holds, in canonical form: each
+    same-denominator group is reduced once, then the distinct denominators
+    are added pairwise by ``ZRat.__add__``; zero monomials are dropped."""
+    terms = {}
+    for mono, dens in monos.items():
+        subtotals = []
+        for den, (rows, cancel) in dens.items():
+            if type(rows) is not tuple:
+                rows = tuple(map(canon_row, rows))
+            # a lone unit multiple of a canonical part is canonical
+            zr = (ZRat._make(ctx, rows, dict(den)) if cancel
+                  else ZRat(ctx, rows, den))
+            if zr.num:
+                subtotals.append(zr)
+        if subtotals:
+            total = _pairwise_sum(subtotals)
+            if not total.is_zero():
+                terms[mono] = total
+    return Coefficient(ctx, terms)

@@ -51,8 +51,8 @@ from .builders import build_S
 from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import CoeffError, ParseError
-from .opalgebra import (OpExpr, op_I, op_R, op_coeff, op_dphi, op_dr, op_one,
-                        op_param, op_r, op_scalar, op_zero)
+from .opalgebra import (OpExpr, deposit, op_I, op_R, op_coeff, op_dphi, op_dr,
+                        op_one, op_param, op_r, op_scalar, settle)
 
 __all__ = ["parse", "elaborate", "parse_op", "pretty", "pretty_coefficient",
            "pretty_zrat"]
@@ -283,11 +283,10 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
     """Evaluate an AST in the operator algebra over ``ctx``."""
     kind = ast[0]
     if kind == "sum":
-        total = op_zero(ctx)
+        acc: dict = {}
         for sign, node in ast[1]:
-            part = elaborate(node, ctx)
-            total = total + part if sign > 0 else total - part
-        return total
+            deposit(acc, elaborate(node, ctx), sign)
+        return settle(ctx, acc)
     if kind == "prod":
         total = op_one(ctx)
         for node in ast[1]:

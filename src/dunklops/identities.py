@@ -172,7 +172,7 @@ class OperatorSet:
     def proj_shift(self) -> OpExpr:
         """k^2 (a + b)^2 as a multiplication operator."""
         k2 = self.ctx.scalar(self.ctx.k ** 2)
-        return op_coeff(self.ctx, Coefficient.make(self.ctx, {
+        return op_coeff(self.ctx, Coefficient(self.ctx, {
             (0, 2, 0, 0): ZRat.const(self.ctx, 1) * k2,
             (0, 1, 1, 0): ZRat.const(self.ctx, 2) * k2,
             (0, 0, 2, 0): ZRat.const(self.ctx, 1) * k2,

@@ -10,16 +10,14 @@ phi -> -phi; both commute with dr, while I dphi = -dphi I.  Products are
 normal-ordered on the fly with the Leibniz rule, so equality of expressions
 is literal equality of the term maps.
 
-A product is a multiply-accumulate: ``accumulate`` adds each part of x * y
-into the numerator rows kept under its operator key, coefficient monomial and
-denominator, and ``settle`` reduces each same-denominator group once, then
-adds the distinct denominators pairwise.  No part becomes a ``ZRat`` on the
-way: a constant factor is a unit, folded with the part's integer factor into
-the add, and a part of two non-constant factors is the bare product of their
-numerators, filed under the sum of their denominators, its cancellation left
-to ``settle``.  Sums of products (``commutator``, ``anticommutator``, the
-suite's residuals) put every product into one accumulator, so parts that
-cancel do so before any cross-denominator sum.
+Every sum and product is a multiply-accumulate: ``deposit`` and
+``accumulate`` file the parts of x + y and x * y under their operator keys in
+a ``coeffring`` accumulator, and ``settle`` reduces each same-denominator
+group once, then adds the distinct denominators.  ``+``, ``op_sum`` and the
+sums of products (``commutator``, ``anticommutator``, the suite's residuals)
+put every part into one accumulator, so parts that cancel do so before any
+cross-denominator sum.  This module keeps the operator keys, the group moves
+and the Leibniz grid.
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -45,9 +43,9 @@ from __future__ import annotations
 from math import comb
 
 from ._rat import RAT
-from .coeffring import Coefficient, ZRat, _den_tuple, _zp_mul
-from .cyclofield import (CycloScalar, FieldCtx, binary_power, canon_row,
-                         ctx_new)
+from .coeffring import (Coefficient, ZRat, _deposit_coefficient,
+                        _deposit_products, _settle_monos)
+from .cyclofield import CycloScalar, FieldCtx, binary_power, ctx_new
 from .errors import AlgebraError, FieldError
 
 __all__ = [
@@ -67,11 +65,6 @@ class OpExpr:
         self.ctx = ctx
         self.terms = terms
         self._hash = None
-
-    @staticmethod
-    def make(ctx: FieldCtx, terms: dict) -> "OpExpr":
-        return OpExpr(ctx, {key: c for key, c in terms.items()
-                            if not c.is_zero()})
 
     # -- structure -------------------------------------------------------------
 
@@ -109,15 +102,7 @@ class OpExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            cur = out.get(key)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return OpExpr(self.ctx, out)
+        return settle(self.ctx, deposit(deposit({}, self), o))
 
     __radd__ = __add__
 
@@ -288,79 +273,18 @@ def op_I(ctx: FieldCtx) -> OpExpr:
 # ---------------------------------------------------------------------------
 # sums of products: one multiply-accumulate
 # ---------------------------------------------------------------------------
-# An accumulator is a dict
-#     (p, q, i, e) -> (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
-# summing, for each operator key, coefficient monomial and denominator, the
-# numerator rows of the parts deposited there.  ``rows`` is the first part's
-# tuple of canonical rows until a second part arrives; it is then copied into
-# lists that each further part is added into.  ``cancel`` marks a slot that
-# holds more than one part or an unreduced product; ``settle`` reduces only
-# those, by all their atoms, before it adds the distinct denominators.  The
-# canonical form is unique, so the result depends neither on the order of the
-# parts nor on the denominator a part is filed under.
-
-
-def _deposit(ctx: FieldCtx, monos: dict, mono: tuple, den: tuple, rows,
-             c, unit=None, cancel: bool = False) -> None:
-    """monos[mono][den] += c * unit * rows, for nonzero canonical rows, a
-    nonzero rational c and a field-unit row ``unit`` (None for 1)."""
-    if unit is not None:
-        unit = [c * v for v in unit]
-        rows, c = [ctx.mul_rows(row, unit) for row in rows], 1
-    dens = monos.get(mono)
-    if dens is None:
-        dens = monos[mono] = {}
-    slot = dens.get(den)
-    if slot is None:
-        if c != 1:
-            rows = [[c * v for v in row] for row in rows]
-        dens[den] = [rows, cancel]
-        return
-    acc = slot[0]
-    if type(acc) is tuple:
-        acc = slot[0] = [list(row) for row in acc]
-    slot[1] = True
-    for _ in range(len(rows) - len(acc)):
-        acc.append([0] * ctx.deg)
-    for out, row in zip(acc, rows):
-        for t, v in enumerate(row):
-            if v:
-                out[t] += c * v
-
-
-def _deposit_product(ctx: FieldCtx, monos: dict, mono: tuple, z1: ZRat,
-                     z2: ZRat, factor: int) -> None:
-    """monos[mono] += factor * z1 * z2, for nonzero canonical z1 and z2."""
-    if z2.is_const():
-        unit, zr = z2.num[0], z1
-    elif z1.is_const():
-        unit, zr = z1.num[0], z2
-    else:
-        den = dict(z1.den)
-        for atom, m in z2.den:
-            den[atom] = den.get(atom, 0) + m
-        _deposit(ctx, monos, mono, _den_tuple(den),
-                 tuple(_zp_mul(ctx, z1.num, z2.num)), factor, cancel=True)
-        return
-    if any(unit[1:]):
-        _deposit(ctx, monos, mono, zr.den, zr.num, factor, unit)
-    else:
-        c = unit[0] * factor
-        if type(c) is RAT and c.denominator == 1:
-            c = c.numerator
-        _deposit(ctx, monos, mono, zr.den, zr.num, c)
+# An operator accumulator is a dict (p, q, i, e) -> coefficient accumulator;
+# the slot arithmetic and its settling live in ``coeffring``.
 
 
 def deposit(acc: dict, x: OpExpr, weight: int = 1,
             project: bool = False) -> dict:
     """acc += weight * x; with ``project`` every R^i I^e is replaced by 1."""
     if weight:
-        ctx = x.ctx
         for (p, q, i, e), c in x.terms.items():
-            monos = acc.setdefault((p, q, 0, 0) if project else (p, q, i, e),
-                                   {})
-            for mono, zr in c.terms.items():
-                _deposit(ctx, monos, mono, zr.den, zr.num, weight)
+            _deposit_coefficient(
+                acc.setdefault((p, q, 0, 0) if project else (p, q, i, e), {}),
+                c, weight)
     return acc
 
 
@@ -423,48 +347,19 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
                     g = col[s].terms
                     if not g:
                         continue
-                    factor = cps * comb(q1, t)
-                    monos = acc.setdefault(
-                        (p1 - s + p2, q1 - t + q2, i_out, e_out), {})
-                    for (m1, a1, b1, g1), z1 in c1.terms.items():
-                        for (m2, a2, b2, g2), z2 in g.items():
-                            _deposit_product(
-                                ctx, monos, (m1 + m2, a1 + a2, b1 + b2,
-                                             g1 + g2), z1, z2, factor)
+                    _deposit_products(ctx, acc.setdefault(
+                        (p1 - s + p2, q1 - t + q2, i_out, e_out), {}),
+                        c1.terms, g, cps * comb(q1, t))
     return acc
-
-
-def _pairwise_sum(parts: list):
-    """Balanced pairwise sum (keeps transient denominators shallow)."""
-    while len(parts) > 1:
-        nxt = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
 
 
 def settle(ctx: FieldCtx, acc: dict) -> OpExpr:
     """The operator an accumulator holds, in canonical form."""
     out = {}
     for key, monos in acc.items():
-        terms = {}
-        for mono, dens in monos.items():
-            subtotals = []
-            for den, (rows, cancel) in dens.items():
-                if type(rows) is not tuple:
-                    rows = tuple(map(canon_row, rows))
-                # a lone unit multiple of a canonical part is canonical
-                zr = (ZRat._make(ctx, rows, dict(den)) if cancel
-                      else ZRat(ctx, rows, den))
-                if zr.num:
-                    subtotals.append(zr)
-            if subtotals:
-                total = _pairwise_sum(subtotals)
-                if not total.is_zero():
-                    terms[mono] = total
-        if terms:
-            out[key] = Coefficient(ctx, terms)
+        c = _settle_monos(ctx, monos)
+        if c.terms:
+            out[key] = c
     return OpExpr(ctx, out)
 
 
@@ -486,10 +381,13 @@ def anticommutator(x: OpExpr, y: OpExpr) -> OpExpr:
 
 
 def op_sum(ctx: FieldCtx, parts) -> OpExpr:
-    total = op_zero(ctx)
+    """The sum of ``parts``, put into one accumulator and settled once."""
+    acc: dict = {}
     for part in parts:
-        total = total + part
-    return total
+        if part.ctx is not ctx:
+            raise FieldError("mixed field contexts in operator arithmetic")
+        deposit(acc, part)
+    return settle(ctx, acc)
 
 
 def op_product(ctx: FieldCtx, factors) -> OpExpr:

@@ -19,7 +19,7 @@ from dunklops.opalgebra import (OpExpr, op_I, op_R, op_coeff, op_dphi, op_dr,
 
 
 def one_term(ctx, key, coeff):
-    return OpExpr.make(ctx, {key: coeff})
+    return OpExpr(ctx, {key: coeff} if coeff else {})
 
 
 def assert_term_for_term(built, explicit):

@@ -504,10 +504,24 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2                    # subcommand required
 
 
-@pytest.mark.skipif(shutil.which("dunklops") is None,
-                    reason="console script not on PATH")
+def _console_script() -> list:
+    """The argv prefix of the ``dunklops`` console script: the installed
+    script when it is on PATH, else its ``[project.scripts]`` entry point
+    from pyproject.toml, run by this interpreter."""
+    script = shutil.which("dunklops")
+    if script:
+        return [script]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, func = target["dunklops"].split(":")
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 def test_console_script_smoke():
-    proc = subprocess.run(["dunklops", "verify", "--k", "1"],
-                          capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([*_console_script(), "verify", "--k", "1"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
