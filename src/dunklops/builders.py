@@ -182,7 +182,6 @@ def build_Dphi_squared_expanded(k) -> OpExpr:
     (no operator products; this is the hand-expanded closed form)."""
     ctx = _as_ctx(k)
     kk, two_k = ctx.k, 2 * ctx.k
-    # d^2/dphi^2 + counterterm - (each group of terms below), settled once
     acc = deposit({}, OpExpr(ctx, {(0, 2, 0, 0): Coefficient.one(ctx)}))
     a2 = Coefficient.monomial(ctx, a=2)
     ab1 = Coefficient.monomial(ctx, a=1)

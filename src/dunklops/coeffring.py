@@ -944,20 +944,19 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 # sums of products: one multiply-accumulate
 # ---------------------------------------------------------------------------
-# Every sum or product of coefficients, and every operator sum and product in
-# ``opalgebra``, is formed in a coefficient accumulator, a dict
+# Every sum and product of coefficients, and of operators in ``opalgebra``,
+# goes through an accumulator: a dict
 #     (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
-# summing, for each monomial and denominator, the numerator rows of the parts
-# deposited there.  ``rows`` is the first part's tuple of canonical rows until
-# a second part arrives; it is then copied into lists that each further part
-# is added into.  ``cancel`` marks a slot that holds more than one part or an
-# unreduced product; ``_settle_monos`` reduces only those, by all their atoms,
-# before it adds the distinct denominators.  No part becomes a ``ZRat`` on the
-# way: a constant factor is a unit, folded with the part's integer factor
-# into the add, and a part of two non-constant factors is the bare product of
-# their numerators, filed under the sum of their denominators.  The canonical
-# form is unique, so the result depends neither on the order of the parts nor
-# on the denominator a part is filed under.
+# of the summed numerator rows of the parts deposited there.  ``rows`` is the
+# first part's tuple of canonical rows until a second part arrives, then
+# lists that each further part is added into.  A constant factor is a unit,
+# folded with the part's integer factor into the add; a part of two
+# non-constant factors is the bare product of their numerators, filed under
+# the sum of their denominators.  ``cancel`` marks a slot that holds more
+# than one part or such a product; ``_settle_monos`` reduces only those, by
+# all their atoms, before it adds the distinct denominators.  The canonical
+# form is unique, so the result depends neither on the order of the parts
+# nor on the denominator a part is filed under.
 
 
 def _deposit(ctx: FieldCtx, monos: dict, mono: tuple, den: tuple, rows,
@@ -1039,9 +1038,8 @@ def _pairwise_sum(parts: list):
 
 
 def _settle_monos(ctx: FieldCtx, monos: dict) -> Coefficient:
-    """The coefficient an accumulator holds, in canonical form: each
-    same-denominator group is reduced once, then the distinct denominators
-    are added pairwise by ``ZRat.__add__``; zero monomials are dropped."""
+    """The coefficient an accumulator holds, in canonical form; the distinct
+    denominators of a monomial are added by ``ZRat.__add__``."""
     terms = {}
     for mono, dens in monos.items():
         subtotals = []

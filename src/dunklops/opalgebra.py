@@ -382,11 +382,12 @@ def anticommutator(x: OpExpr, y: OpExpr) -> OpExpr:
 
 def op_sum(ctx: FieldCtx, parts) -> OpExpr:
     """The sum of ``parts``, put into one accumulator and settled once."""
-    acc: dict = {}
+    zero, acc = op_zero(ctx), {}
     for part in parts:
-        if part.ctx is not ctx:
-            raise FieldError("mixed field contexts in operator arithmetic")
-        deposit(acc, part)
+        o = zero._coerce(part)      # scalars coerce; a foreign ctx raises
+        if o is None:
+            raise TypeError(f"cannot add {type(part).__name__} to an operator")
+        deposit(acc, o)
     return settle(ctx, acc)
 
 

@@ -17,7 +17,7 @@ from dunklops.exprparse import parse_op
 from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
                                 commutator, op_I, op_R, op_coeff, op_dphi,
                                 op_dr, op_one, op_param, op_r, op_scalar,
-                                op_zero, settle)
+                                op_sum, op_zero, settle)
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -95,6 +95,9 @@ def test_zero_one_and_coercion():
     assert x + 1 == x + op_one(ctx)
     assert 1 - x == op_one(ctx) - x
     assert op_scalar(ctx, 5) == 5 * op_one(ctx)
+    assert op_sum(ctx, [x, 1, -x, RAT(1, 2)]) == RAT(3, 2) * op_one(ctx)
+    with pytest.raises(TypeError):
+        op_sum(ctx, [x, "dr"])
     assert trig(ctx, "tan_k") * x == op_coeff(ctx, trig(ctx, "tan_k")) * x
 
 
@@ -126,6 +129,8 @@ def test_mixed_contexts_rejected():
         _ = op_dr(ctx_new(2)) * op_dr(ctx_new(3))
     with pytest.raises(FieldError):
         _ = op_dr(ctx_new(2)) + op_dr(ctx_new(3))
+    with pytest.raises(FieldError):
+        op_sum(ctx_new(2), [op_dr(ctx_new(3))])
     for combine in (commutator, anticommutator):
         with pytest.raises(FieldError):
             combine(op_dr(ctx_new(2)), op_dphi(ctx_new(3)))
