@@ -15,14 +15,13 @@ most trial divisions can be shown in advance to fail and are not made (as in
 Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
 
     a + b        the atoms with the same multiplicity in both denominators
-    a * b        the atoms of each denominator that are not in the other,
-                 on the other numerator, before multiplying; none when
-                 either factor is a constant (see below)
-    accumulated  ``Coefficient`` and operator sums and products go through
-                 the accumulator at the end of this module: it files each
-                 bare numerator product under the sum of the two
-                 denominators, and tries every atom once per group that
-                 holds more than one part or such a product
+    accumulated  every product, of two ``ZRat`` as of coefficients and
+                 operators, and ``Coefficient`` and operator sums go
+                 through the accumulator at the end of this module: it
+                 files each bare numerator product under the sum of the
+                 two denominators, and tries every atom once per group
+                 that holds more than one part or such a product; none
+                 when either factor is a constant (see below)
     d_phi        only z (every other atom is prime to the new
                  numerator); nothing for a constant, whose d_phi is 0
     inv          none
@@ -458,49 +457,23 @@ class ZRat:
     def __neg__(self):
         return ZRat(self.ctx, tuple(_zp_neg(self.num)), self.den)
 
+    def _is_one(self) -> bool:
+        return not self.den and self.num == (self.ctx.one().coeffs,)
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero():
+        if self.is_zero() or o._is_one():
             return self
-        if o.is_zero():
+        if o.is_zero() or self._is_one():
             return o
-        # a nonzero constant is a unit
-        if o.is_const():
-            return self._times_unit(o.num[0])
-        if self.is_const():
-            return o._times_unit(self.num[0])
-        ctx = self.ctx
-        # Each operand is reduced, so an atom of one denominator can cancel
-        # only against the other numerator, and not at all if it is in both
-        # denominators, since that numerator is prime to its own atoms.
-        # Cancel the others there, on the smaller factors; the product of the
-        # two reduced parts is then reduced.
-        sden, oden = dict(self.den), dict(o.den)
-        a, den = _cancel(ctx, self.num, [(atom, m) for atom, m in o.den
-                                         if atom not in sden])
-        b, left = _cancel(ctx, o.num, [(atom, m) for atom, m in self.den
-                                       if atom not in oden])
-        den.update(left)
-        for atom in sden.keys() & oden.keys():
-            den[atom] = sden[atom] + oden[atom]
-        return ZRat(ctx, tuple(_zp_mul(ctx, a, b)), _den_tuple(den))
+        # a one-slot multiply-accumulate
+        monos: dict = {}
+        _deposit_product(self.ctx, monos, (), self, o, 1)
+        return _settle_dens(self.ctx, monos[()])
 
     __rmul__ = __mul__
-
-    def _times_unit(self, row) -> "ZRat":
-        """self times the nonzero constant with coordinate row ``row``.  The
-        constant is a unit, so no atom can cancel and no row can vanish."""
-        ctx = self.ctx
-        c = row[0]
-        if any(row[1:]):
-            num = tuple(canon_row(ctx.mul_rows(r, row)) for r in self.num)
-        elif c == 1:
-            return self
-        else:
-            num = tuple(canon_row([c * v for v in r]) for r in self.num)
-        return ZRat(ctx, num, self.den)
 
     def inv(self) -> "ZRat":
         if self.is_zero():
@@ -944,8 +917,8 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 # sums of products: one multiply-accumulate
 # ---------------------------------------------------------------------------
-# Every sum and product of coefficients, and of operators in ``opalgebra``,
-# goes through an accumulator: a dict
+# Every product of two ``ZRat``, and every sum and product of coefficients
+# and of operators in ``opalgebra``, goes through an accumulator: a dict
 #     (m, alpha, beta, gamma) -> denominator -> [rows, cancel]
 # of the summed numerator rows of the parts deposited there.  ``rows`` is the
 # first part's tuple of canonical rows until a second part arrives, then
@@ -953,7 +926,7 @@ class Coefficient:
 # folded with the part's integer factor into the add; a part of two
 # non-constant factors is the bare product of their numerators, filed under
 # the sum of their denominators.  ``cancel`` marks a slot that holds more
-# than one part or such a product; ``_settle_monos`` reduces only those, by
+# than one part or such a product; ``_settle_dens`` reduces only those, by
 # all their atoms, before it adds the distinct denominators.  The canonical
 # form is unique, so the result depends neither on the order of the parts
 # nor on the denominator a part is filed under.
@@ -1037,22 +1010,26 @@ def _pairwise_sum(parts: list):
     return parts[0]
 
 
+def _settle_dens(ctx: FieldCtx, dens: dict) -> ZRat:
+    """The sum one monomial's slots hold, in canonical form; the distinct
+    denominators are added by ``ZRat.__add__``."""
+    subtotals = []
+    for den, (rows, cancel) in dens.items():
+        if type(rows) is not tuple:
+            rows = tuple(map(canon_row, rows))
+        # a lone unit multiple of a canonical part is canonical
+        zr = (ZRat._make(ctx, rows, dict(den)) if cancel
+              else ZRat(ctx, rows, den))
+        if zr.num:
+            subtotals.append(zr)
+    return _pairwise_sum(subtotals) if subtotals else ZRat(ctx, (), ())
+
+
 def _settle_monos(ctx: FieldCtx, monos: dict) -> Coefficient:
-    """The coefficient an accumulator holds, in canonical form; the distinct
-    denominators of a monomial are added by ``ZRat.__add__``."""
+    """The coefficient an accumulator holds, in canonical form."""
     terms = {}
     for mono, dens in monos.items():
-        subtotals = []
-        for den, (rows, cancel) in dens.items():
-            if type(rows) is not tuple:
-                rows = tuple(map(canon_row, rows))
-            # a lone unit multiple of a canonical part is canonical
-            zr = (ZRat._make(ctx, rows, dict(den)) if cancel
-                  else ZRat(ctx, rows, den))
-            if zr.num:
-                subtotals.append(zr)
-        if subtotals:
-            total = _pairwise_sum(subtotals)
-            if not total.is_zero():
-                terms[mono] = total
+        total = _settle_dens(ctx, dens)
+        if total.num:
+            terms[mono] = total
     return Coefficient(ctx, terms)

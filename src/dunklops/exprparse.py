@@ -216,9 +216,9 @@ class _Parser:
         self.fail("expected a value")
 
 
-def parse(text: str, ctx: FieldCtx | None = None):
-    """Parse operator-expression text into an AST (tuples); the context is
-    accepted for signature symmetry and not needed until elaboration."""
+def parse(text: str):
+    """Parse operator-expression text into an AST (tuples); the field context
+    is not needed until elaboration."""
     parser = _Parser(text)
     ast = parser.expr()
     if parser.peek()[0] != "end":
@@ -264,6 +264,8 @@ def _invert_op(op: OpExpr, n: int, pos: int, ctx) -> OpExpr:
     """op^(-n) for n > 0; defined only for invertible multiplication
     operators r^m * u(z)."""
     items = op.items()
+    if not items:
+        raise ParseError("negative power of zero", pos)
     if len(items) != 1 or items[0][0] != (0, 0, 0, 0):
         raise ParseError("negative power of a non-coefficient operator", pos)
     coeff = items[0][1]
@@ -339,7 +341,7 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
 
 def parse_op(text: str, ctx: FieldCtx) -> OpExpr:
     """Parse and elaborate in one step."""
-    ast = parse(text, ctx)
+    ast = parse(text)
     try:
         return elaborate(ast, ctx)
     except ParseError as exc:

@@ -632,6 +632,22 @@ def test_operations_keep_the_canonical_form(k, data):
         pool.append(out)
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_every_product_is_the_general_product(k, data):
+    """x * y, whatever kinds the factors are, is the one convolution over the
+    joint denominator reduced by all its atoms, down to the coordinate
+    types, and y * x is the same."""
+    ctx = ctx_new(k)
+    pool = (_leaves(ctx, data) + _constants(ctx) + [cot_k(ctx)]
+            + [ZRat.z_power(ctx, m) for m in (1, 2, 3)])
+    for _ in range(4):
+        x, y = (data.draw(st.sampled_from(pool)) for _ in range(2))
+        got, want = x * y, _general_product(x, y)
+        assert got == want and _exact(got.num) == _exact(want.num)
+        assert got == y * x
+
+
 # ---------------------------------------------------------------------------
 # a sum whose common atom cancels, and d_phi against its per-atom form
 # ---------------------------------------------------------------------------

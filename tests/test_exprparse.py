@@ -90,6 +90,9 @@ def test_negative_powers_require_invertible_base():
     for text in ("(a)^-1", "(1 + R)^-1", "dr^-1", "(1 + z + z^2)^-1"):
         with pytest.raises(ParseError):
             parse_op(text, ctx)
+    for text in ("(0)^-1", "(r - r)^-1"):
+        with pytest.raises(ParseError, match="negative power of zero"):
+            parse_op(text, ctx)
 
 
 def test_ast_shape_is_plain_tuples():
