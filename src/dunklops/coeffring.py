@@ -468,7 +468,7 @@ class ZRat:
             return self
         if o.is_zero() or self._is_one():
             return o
-        # a one-slot multiply-accumulate
+        # a one-slot multiply-accumulate, reduced as every other product is
         monos: dict = {}
         _deposit_product(self.ctx, monos, (), self, o, 1)
         return _settle_dens(self.ctx, monos[()])

@@ -28,7 +28,7 @@ def run(argv) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(list(argv))
+        rc = cli.main(argv)
     return [rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
