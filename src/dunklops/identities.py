@@ -6,17 +6,17 @@ parity precondition excludes the given k report "skipped".  A check may have
 several rows (one per j value, per relation, per explicit sub-identity);
 every row becomes its own CheckReport with a ``base[row]`` id.
 
-An operator row states its identity once, as weighted operator chains
-(lhs, rhs).  Both witnesses read that one statement: the exact residual is
-sum(lhs) - sum(rhs) computed with the symbolic product (the last product of
-every chain goes into one ``opalgebra.accumulate``, so the parts the chains
-share cancel as numerators over their common denominators), and the oracle
-module applies the same chains factor by factor to random test functions,
-so the numeric witness never relies on the product routine it is shadowing.
-Only the trigonometric rows (exact atoms against closed forms of arrays of
-angles) and ``hk_two_forms`` (the generic dr against the two cached
-assemblies) state their two sides apart, because their witnesses must
-differ.
+Every row but one states its identity once, as weighted chains (lhs, rhs),
+and both witnesses read that one statement.  An operator row's exact
+residual is sum(lhs) - sum(rhs) computed with the symbolic product (the last
+product of every chain goes into one ``opalgebra.accumulate``, so the parts
+the chains share cancel as numerators over their common denominators); the
+oracle module applies the same chains factor by factor to random test
+functions, so the numeric witness never relies on the product routine it is
+shadowing.  A trigonometric row's chains are products of leaves such as
+sec^2(phi + j pi/k), exact ``trig`` atoms on one side and the oracle's own
+closed forms on the other.  Only ``hk_two_forms`` (the generic dr against
+the two cached assemblies) states its sides apart: its witnesses differ.
 
     >>> check("trig_sec2", 3).status
     'pass'
@@ -28,10 +28,10 @@ differ.
 
 from __future__ import annotations
 
-import math
 import time
 from fnmatch import fnmatchcase
-from functools import cached_property, partial
+from functools import cached_property, reduce
+from operator import mul
 from typing import NamedTuple
 
 from .builders import (MUTATIONS, build_counterterm, build_Dphi,
@@ -42,7 +42,8 @@ from .builders import (MUTATIONS, build_counterterm, build_Dphi,
                        explicit_k2_Dr, explicit_k3_counterterm,
                        explicit_k3_Dphi, explicit_k3_Dphi_squared,
                        explicit_k3_Dr)
-from .coeffring import Coefficient, ZRat, cot_k, trig
+from .coeffring import (Coefficient, ZRat, _deposit_product, _settle_dens,
+                        cot_k, trig)
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
 from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
@@ -194,18 +195,19 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # rows
 # ---------------------------------------------------------------------------
-# An operator row is (row_id, spec_fn); spec_fn() states the identity once:
+# A row is (row_id, spec_fn); spec_fn() states the identity once:
 #     (kind, lhs, rhs)   kind "ops", or "ops-invariant" on group-invariant
 #                        functions; lhs/rhs: list[(int, [factor, ...])]
+#     ("trig", lhs, rhs) lhs/rhs: list[(int, [(leaf_kind, j), ...])]
 # A factor is an OpExpr or a tuple of them, a sub-product: the exact side
 # takes it from OperatorSet.chain (so (Dphi, Dphi) is the cached Dphi2), the
-# oracle applies its members one by one.  The exact residual is
+# oracle applies its members one by one.  A leaf is a ``trig`` kind with its
+# unreduced shift j, or ("cot_k", 0).  The exact residual is
 # sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".
-# The trig rows and hk_two_forms give (row_id, residual_fn, numeric_fn),
-# which is what iter_rows makes of every row:
+# hk_two_forms gives (row_id, residual_fn, numeric_fn), which is what
+# iter_rows makes of every row:
 #   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
-#   numeric_fn()  -> (kind, lhs, rhs) with plain chains, or
-#                    ("angle-array", f, g), f/g: phi array -> value array
+#   numeric_fn()  -> (kind, lhs, rhs), with plain chains for operators
 
 
 def _equal(lhs: list, rhs: list, kind: str = "ops"):
@@ -258,35 +260,14 @@ def _rows_dr_dphi_commutator(ops: OperatorSet):
     ]
 
 
-def _on_arrays(fn):
-    """``fn`` of one float (a ``math`` function or ``pow``) applied to every
-    element of an array, in a C loop.  numpy's own tan and power differ from
-    the C library in the last bit on some inputs; the rows keep the C
-    library's rounding, so the oracle's worst deviations stay as they were."""
-    import numpy as np
-    return lambda x: np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
-def _rows_shifted_sum(ops: OperatorSet, shift_kind: str, target, h, p: int):
-    """sum_i f(phi + i pi/k) = k^p f(k phi) for f = 1/h^p; ``target(ctx)``
-    is the exact f(k phi), ``h`` a ``math`` function."""
-    ctx, k = ops.ctx, ops.ctx.k
-
-    def residual():
-        total = ZRat.const(ctx, 0)
-        for i in range(k):
-            total = total + trig(ctx, shift_kind, i)
-        return total - ctx.scalar(k ** p) * target(ctx)
-
-    def numeric():
-        h_arr, power = _on_arrays(h), _on_arrays(partial(pow, exp=p))
-        hp = lambda x: power(h_arr(x))
-        lhs = lambda phi: sum(1.0 / hp(phi + i * math.pi / k)
-                              for i in range(k))
-        rhs = lambda phi: k ** p / hp(k * phi)
-        return ("angle-array", lhs, rhs)
-
-    return [("[sum]", residual, numeric)]
+def _rows_shifted_sum(ops: OperatorSet, shift_kind: str, target_kind: str,
+                      p: int):
+    """sum_i f(phi + i pi/k) = k^p f(k phi), f the leaf ``shift_kind`` and
+    f(k phi) the leaf ``target_kind``."""
+    k = ops.ctx.k
+    return [("[sum]", lambda: ("trig", [(1, [(shift_kind, i)])
+                                        for i in range(k)],
+                               [(k ** p, [(target_kind, 0)])]))]
 
 
 def _rows_trig_pair_family(ops: OperatorSet, first: str, second: str,
@@ -294,60 +275,18 @@ def _rows_trig_pair_family(ops: OperatorSet, first: str, second: str,
     """Rows for the shifted product sums: for each j in 1..k-1 the sum over i
     of products of shifted tan/cot at offsets i+j and i+2j is the constant
     ``target`` (times 1; the mixed family sums both orders)."""
-    ctx, k = ops.ctx, ops.ctx.k
-    rows = []
-    for j in range(1, k):
-        def residual(j=j):
-            total = ZRat.const(ctx, 0)
-            for i in range(k):
-                u = trig(ctx, first, i + j)
-                v = trig(ctx, second, i + 2 * j)
-                total = total + u * v
-                if mixed:
-                    total = total + (trig(ctx, second, i + j)
-                                     * trig(ctx, first, i + 2 * j))
-            return total - ctx.scalar(target)
-
-        def numeric(j=j):
-            import numpy as np
-            tan = _on_arrays(math.tan)
-            base = {"tan_shift": tan, "cot_shift": lambda x: 1.0 / tan(x)}
-            f, g = base[first], base[second]
-
-            def lhs(phi):
-                total = 0.0
-                for i in range(k):
-                    u = f(phi + (i + j) * math.pi / k)
-                    v = g(phi + (i + 2 * j) * math.pi / k)
-                    total += u * v
-                    if mixed:
-                        total += (g(phi + (i + j) * math.pi / k)
-                                  * f(phi + (i + 2 * j) * math.pi / k))
-                return total
-
-            return ("angle-array", lhs,
-                    lambda phi: np.full(len(phi), float(target)))
-
-        rows.append((f"[j={j}]", residual, numeric))
-    return rows
+    k = ops.ctx.k
+    pairs = [(first, second), (second, first)] if mixed else [(first, second)]
+    spec = lambda j: ("trig", [(1, [(u, i + j), (v, i + 2 * j)])
+                               for i in range(k) for u, v in pairs],
+                      [(target, [])])
+    return [(f"[j={j}]", lambda j=j: spec(j)) for j in range(1, k)]
 
 
 def _rows_trig_half_angle(ops: OperatorSet):
-    ctx, k = ops.ctx, ops.ctx.k
-
-    def residual():
-        return (trig(ctx, "half_diff_inv2") + trig(ctx, "half_sum_inv2")
-                - ctx.scalar(2) * trig(ctx, "sec2_k"))
-
-    def numeric():
-        sin, cos = _on_arrays(math.sin), _on_arrays(math.cos)
-        square = _on_arrays(partial(pow, exp=2))
-        lhs = lambda phi: (1.0 / (1.0 - sin(k * phi))
-                           + 1.0 / (1.0 + sin(k * phi)))
-        rhs = lambda phi: 2.0 / square(cos(k * phi))
-        return ("angle-array", lhs, rhs)
-
-    return [("[sum]", residual, numeric)]
+    return [("[sum]", lambda: ("trig", [(1, [("half_diff_inv2", 0)]),
+                                        (1, [("half_sum_inv2", 0)])],
+                               [(2, [("sec2_k", 0)])]))]
 
 
 def _rows_dphi_squared(ops: OperatorSet):
@@ -461,9 +400,9 @@ _REGISTRY: dict = {
     "dphi_props": (_ALWAYS, _rows_dphi_props),
     "dr_dphi_commutator": (_ALWAYS, _rows_dr_dphi_commutator),
     "trig_sec2": (_ODD, lambda ops: _rows_shifted_sum(
-        ops, "sec2_shift", lambda ctx: trig(ctx, "sec2_k"), math.cos, 2)),
+        ops, "sec2_shift", "sec2_k", 2)),
     "trig_csc2": (_ALWAYS, lambda ops: _rows_shifted_sum(
-        ops, "csc2_shift", lambda ctx: trig(ctx, "csc2_k"), math.sin, 2)),
+        ops, "csc2_shift", "csc2_k", 2)),
     "trig_tan_tan": (lambda k: k % 2 == 1 and k >= 3,
                      lambda ops: _rows_trig_pair_family(
                          ops, "tan_shift", "tan_shift", False, -ops.ctx.k)),
@@ -475,7 +414,7 @@ _REGISTRY: dict = {
                        ops, "tan_shift", "cot_shift", True, 2 * ops.ctx.k)),
     "trig_half_angle": (_EVEN, _rows_trig_half_angle),
     "trig_cot_sum": (_EVEN, lambda ops: _rows_shifted_sum(
-        ops, "cot_shift", cot_k, math.tan, 1)),
+        ops, "cot_shift", "cot_k", 1)),
     "dphi_squared": (_ALWAYS, _rows_dphi_squared),
     "s_props": (_EVEN, _rows_s_props),
     "hk_two_forms": (_ALWAYS, _rows_hk_two_forms),
@@ -501,12 +440,28 @@ def applicable(check_id: str, k: int) -> bool:
     return _REGISTRY[check_id][0](k)
 
 
-def _exact_residual(ops: OperatorSet, spec) -> OpExpr:
-    """sum(lhs) - sum(rhs) of an operator spec; sum(lhs) is projected onto
-    the invariant sector for "ops-invariant".  Each chain's prefix comes
-    from ``ops.chain``; its last product goes into one accumulator with the
+def _trig_residual(ctx: FieldCtx, spec) -> ZRat:
+    """sum(lhs) - sum(rhs) of a trig spec: every leaf product goes into one
+    accumulator slot, which is settled once."""
+    _kind, lhs, rhs = spec
+    one, slot = ZRat.const(ctx, 1), {}
+    for sign, chains in ((1, lhs), (-1, rhs)):
+        for weight, leaves in chains:
+            values = [one] + [cot_k(ctx) if kind == "cot_k"
+                              else trig(ctx, kind, j) for kind, j in leaves]
+            _deposit_product(ctx, slot, (), reduce(mul, values[:-1], one),
+                             values[-1], sign * weight)
+    return _settle_dens(ctx, slot[()])
+
+
+def _exact_residual(ops: OperatorSet, spec):
+    """sum(lhs) - sum(rhs) of a spec; sum(lhs) is projected onto the
+    invariant sector for "ops-invariant".  Each chain's prefix comes from
+    ``ops.chain``; its last product goes into one accumulator with the
     other chains', which is settled once."""
     kind, lhs, rhs = spec
+    if kind == "trig":
+        return _trig_residual(ops.ctx, spec)
     acc: dict = {}
     for sign, project, chains in ((1, kind == "ops-invariant", lhs),
                                   (-1, False, rhs)):
@@ -523,6 +478,8 @@ def _exact_residual(ops: OperatorSet, spec) -> OpExpr:
 def _numeric_spec(spec):
     """The spec as the oracle takes it: tuple factors spread into the chain."""
     kind, lhs, rhs = spec
+    if kind == "trig":
+        return spec
     spread = lambda chains: [
         (w, [op for f in chain
              for op in (f if isinstance(f, tuple) else (f,))])

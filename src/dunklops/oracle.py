@@ -38,7 +38,8 @@ loads it on first use (``shadow_reports``, ``dunklops oracle`` or one of the
 names below).
 
 ``numeric_check`` / ``numeric_check_spec`` evaluate all trials as numpy
-columns; this is what the verification suite's numeric shadow uses.
+columns; this is what the verification suite's numeric shadow uses.  Its
+trigonometric rows read the closed forms of ``_TRIG_LEAVES``, not ``trig``.
 ``TestFunc`` / ``TestFuncSum`` / ``apply`` are the same engine on one test
 function at one point.
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -496,14 +498,59 @@ def _run_ops(ctx, lhs, rhs, trials, tol, seed, invariant) -> OracleReport:
     return _finish(lhs_tot, rhs_tot, scale, trials, tol, seed)
 
 
-def _run_angle(k, f, g, trials, tol, seed) -> OracleReport:
-    """f and g map an array of angles to the array of their values."""
+def _on_arrays(fn):
+    """``fn`` of one float (a ``math`` function or ``pow``) applied to every
+    element of an array, in a C loop.  numpy's own tan and power differ from
+    the C library in the last bit on some inputs; the closed forms keep the
+    C library's rounding, so the worst deviations stay as they were."""
+    return lambda x: np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+_tan, _sin, _cos = map(_on_arrays, (math.tan, math.sin, math.cos))
+_square = _on_arrays(partial(pow, exp=2))
+
+# The trig leaves' closed forms, independent of ``coeffring.trig``: kind ->
+# (angle phi + j pi/k rather than k phi, value 1 / fn rather than fn, fn).
+_TRIG_LEAVES = {
+    "tan_shift": (True, False, _tan),
+    "cot_shift": (True, True, _tan),
+    "sec2_shift": (True, True, lambda x: _square(_cos(x))),
+    "csc2_shift": (True, True, lambda x: _square(_sin(x))),
+    "sec2_k": (False, True, lambda x: _square(_cos(x))),
+    "csc2_k": (False, True, lambda x: _square(_sin(x))),
+    "cot_k": (False, True, _tan),
+    "half_diff_inv2": (False, True, lambda x: 1.0 - _sin(x)),
+    "half_sum_inv2": (False, True, lambda x: 1.0 + _sin(x)),
+}
+
+
+def _trig_sum(chains, k: int, phi):
+    """The sum of weighted leaf products at an array of angles.  The weight
+    is the first leaf's numerator (w / h, not w * (1 / h)): the last bit of
+    the worst deviations depends on that order."""
+    total = 0
+    for weight, leaves in chains:
+        prod = None if leaves else np.full(len(phi), float(weight))
+        for kind, j in leaves:
+            if kind not in _TRIG_LEAVES:
+                raise OracleError(f"unknown trig leaf kind {kind!r}")
+            shifted, inverse, fn = _TRIG_LEAVES[kind]
+            val = fn(phi + j * math.pi / k if shifted else k * phi)
+            num = weight if prod is None else 1.0
+            val = num / val if inverse else num * val
+            prod = val if prod is None else prod * val
+        total = total + prod
+    return total
+
+
+def _run_trig(k, lhs, rhs, trials, tol, seed) -> OracleReport:
+    """Both sides at ``trials`` random angles inside the margin."""
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, math.pi / (2 * k), trials)
     for _ in range(_MAX_ROUNDS):
         bad = ((np.abs(np.sin(k * phi)) < _MARGIN)
                | (np.abs(np.cos(k * phi)) < _MARGIN))
-        lv, rv = f(phi), g(phi)
+        lv, rv = _trig_sum(lhs, k, phi), _trig_sum(rhs, k, phi)
         scale = np.maximum(np.abs(lv), np.abs(rv))
         bad |= scale < _DEGENERATE
         n_bad = int(bad.sum())
@@ -513,10 +560,6 @@ def _run_angle(k, f, g, trials, tol, seed) -> OracleReport:
     else:  # pragma: no cover - constants on one side keep the scale up
         raise OracleError("sample kept degenerating after redraws")
     return _finish(lv, rv, scale, trials, tol, seed)
-
-
-def _per_angle(f):
-    return lambda phi: np.array([f(x) for x in phi])
 
 
 def _check_run(trials: int, tol: float) -> None:
@@ -541,16 +584,14 @@ def numeric_check(lhs: OpExpr, rhs: OpExpr, trials: int = 100,
 def numeric_check_spec(spec, k: int, trials: int = 100, tol: float = 1e-9,
                        seed: int = DEFAULT_SEED) -> OracleReport:
     """Run one numeric specification as produced by the suite rows:
-    ("ops", lhs, rhs), ("ops-invariant", lhs, rhs) with lists of weighted
-    operator chains, ("angle-array", f, g) with callables of an array of
-    angles, or ("angle", f, g) with plain callables of one angle."""
+    ("ops", lhs, rhs) or ("ops-invariant", lhs, rhs) with lists of weighted
+    operator chains, or ("trig", lhs, rhs) with lists of weighted leaf
+    products, a leaf (kind, j) one of the closed forms of ``_TRIG_LEAVES``
+    at the angle phi + j pi/k (shifted kinds) or k phi."""
     _check_run(trials, tol)
     kind = spec[0]
-    if kind in ("angle", "angle-array"):
-        f, g = spec[1], spec[2]
-        if kind == "angle":
-            f, g = _per_angle(f), _per_angle(g)
-        return _run_angle(k, f, g, trials, tol, seed)
+    if kind == "trig":
+        return _run_trig(k, spec[1], spec[2], trials, tol, seed)
     if kind in ("ops", "ops-invariant"):
         ctx = ctx_new(k)
         return _run_ops(ctx, spec[1], spec[2], trials, tol, seed,

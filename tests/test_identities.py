@@ -2,7 +2,10 @@
 
 import pytest
 
+from dunklops import identities
+from dunklops._rat import RAT
 from dunklops.builders import MUTATIONS
+from dunklops.coeffring import ZRat, _den_tuple, cot_k, trig
 from dunklops.errors import AlgebraError
 from dunklops.identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
                                  applicable, check, iter_rows, operator_set,
@@ -227,3 +230,94 @@ def test_exact_and_numeric_witnesses_agree_on_every_row():
                         disagree.append((mutation, k, row_id, exact))
     assert rows == 342
     assert not disagree
+
+
+# ---------------------------------------------------------------------------
+# trig rows: one statement, both witnesses
+# ---------------------------------------------------------------------------
+
+_SHIFTED_SUMS = {"trig_sec2": ("sec2_shift", "sec2_k", 2),
+                 "trig_csc2": ("csc2_shift", "csc2_k", 2),
+                 "trig_cot_sum": ("cot_shift", "cot_k", 1)}
+_PAIR_FAMILIES = {"trig_tan_tan": ("tan_shift", "tan_shift", False, -1),
+                  "trig_cot_cot": ("cot_shift", "cot_shift", False, -1),
+                  "trig_mixed": ("tan_shift", "cot_shift", True, 2)}
+
+
+def _reference_trig(ctx, check_id, row_id):
+    """(sum(lhs), residual) of a trig row, by the left-fold ZRat sums the
+    rows were once written with, independent of the row's statement."""
+    k, total = ctx.k, ZRat.const(ctx, 0)
+    if check_id in _SHIFTED_SUMS:
+        shift, target, p = _SHIFTED_SUMS[check_id]
+        for i in range(k):
+            total = total + trig(ctx, shift, i)
+        rhs = ctx.scalar(k ** p) * (cot_k(ctx) if target == "cot_k"
+                                    else trig(ctx, target))
+    elif check_id == "trig_half_angle":
+        total = trig(ctx, "half_diff_inv2") + trig(ctx, "half_sum_inv2")
+        rhs = ctx.scalar(2) * trig(ctx, "sec2_k")
+    else:
+        first, second, mixed, per_k = _PAIR_FAMILIES[check_id]
+        j = int(row_id[len(check_id) + len("[j="):-1])
+        for i in range(k):
+            total = total + trig(ctx, first, i + j) * trig(ctx, second,
+                                                           i + 2 * j)
+            if mixed:
+                total = total + (trig(ctx, second, i + j)
+                                 * trig(ctx, first, i + 2 * j))
+        rhs = ctx.scalar(per_k * k)
+    return total, total - rhs
+
+
+def _assert_canonical(zr):
+    assert not zr.num or any(zr.num[-1]), zr
+    assert all(type(v) is int or (type(v) is RAT and v.denominator != 1)
+               for row in zr.num for v in row), zr
+    assert zr.den == _den_tuple(dict(zr.den)), zr
+    assert zr == ZRat._make(zr.ctx, list(zr.num), dict(zr.den)), zr
+
+
+def _trig_specs(check_id, k):
+    ops = operator_set(k)
+    return ops, [(check_id + rid, spec_fn())
+                 for rid, spec_fn in identities._REGISTRY[check_id][1](ops)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_trig_residuals_match_the_left_fold_reference(k):
+    rows = 0
+    for cid in [c for c in DEFAULT_CHECK_IDS if c.startswith("trig_")]:
+        if not applicable(cid, k):
+            continue
+        ops, specs = _trig_specs(cid, k)
+        for row_id, spec in specs:
+            kind, lhs, rhs = spec
+            assert kind == "trig"
+            want_lhs, want = _reference_trig(ops.ctx, cid, row_id)
+            got = identities._exact_residual(ops, spec)
+            got_lhs = identities._exact_residual(ops, ("trig", lhs, []))
+            assert got == want, row_id
+            assert got_lhs == want_lhs, row_id
+            _assert_canonical(got)
+            _assert_canonical(got_lhs)
+            rows += 1
+    assert rows
+
+
+def _seeded_defects():
+    """Two wrong statements at k = 3: trig_csc2 with the weight k^2 + 1, and
+    trig_mixed[j=1] with its first product's second shift one too high."""
+    _ops, [(_rid, (kind, lhs, [(_w, target)]))] = _trig_specs("trig_csc2", 3)
+    yield "csc2-weight", 3, (kind, lhs, [(3 ** 2 + 1, target)])
+    _ops, [(_rid, (kind, lhs, rhs)), *_] = _trig_specs("trig_mixed", 3)
+    (w, [u, (v, j)]), *rest = lhs
+    yield "mixed-shift", 3, (kind, [(w, [u, (v, j + 1)]), *rest], rhs)
+
+
+@pytest.mark.parametrize("name, k, spec", list(_seeded_defects()))
+def test_seeded_trig_statement_defects_reach_both_witnesses(name, k, spec):
+    assert not identities._exact_residual(operator_set(k), spec).is_zero()
+    rep = numeric_check_spec(spec, k, trials=100)
+    assert rep.status == "fail"
+    assert rep.num_over_tol >= 95

@@ -7,8 +7,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from dunklops import oracle
 from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk, build_R
-from dunklops.coeffring import ZRat, trig
+from dunklops.coeffring import ZRat, cot_k, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
 from dunklops.identities import (OperatorSet, iter_rows, operator_set,
@@ -170,6 +171,8 @@ def test_argument_validation():
         numeric_check_spec(("ops", [], []), 2, trials=0)
     with pytest.raises(OracleError):
         numeric_check_spec(("nonsense", None, None), 2)
+    with pytest.raises(OracleError, match="unknown trig leaf"):
+        numeric_check_spec(("trig", [(1, [("nonsense", 0)])], []), 2)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
@@ -181,7 +184,8 @@ def test_non_finite_tolerance_is_refused(tol):
         numeric_check_spec(("ops", [(1, [op_R(ctx)])], [(1, [op_I(ctx)])]),
                            2, tol=tol)
     with pytest.raises(OracleError, match="tol must be finite"):
-        numeric_check_spec(("angle", math.cos, math.sin), 2, tol=tol)
+        numeric_check_spec(("trig", [(1, [("tan_shift", 0)])],
+                            [(1, [("cot_shift", 0)])]), 2, tol=tol)
 
 
 def test_report_is_deterministic_and_seed_sensitive():
@@ -231,11 +235,50 @@ def test_invariant_sampling_mode():
 
 
 def test_angle_specs():
-    good = ("angle", lambda p: math.cos(2 * p),
-            lambda p: 1 - 2 * math.sin(p) ** 2)
+    good = ("trig", [(1, [("tan_shift", 1), ("cot_shift", 1)])], [(1, [])])
     assert numeric_check_spec(good, 2, trials=50).status == "pass"
-    bad = ("angle", math.cos, math.sin)
+    bad = ("trig", [(1, [("tan_shift", 0)])], [(1, [("cot_shift", 0)])])
     assert numeric_check_spec(bad, 2, trials=50).status == "fail"
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_trig_closed_forms_match_the_exact_atoms(k):
+    """Every closed form of the oracle's leaf table, at every shift
+    j = 0..3k (unreduced), against the exact atom evaluated at e^{i phi}."""
+    ctx = ctx_new(k)
+    rng = np.random.default_rng(k)
+    phi = rng.uniform(0.0, math.pi / (2 * k), 200)
+    phi = phi[(np.abs(np.sin(k * phi)) >= 0.05)
+              & (np.abs(np.cos(k * phi)) >= 0.05)][:40]
+    z = np.exp(1j * phi)
+    for kind, (shifted, _inverse, _fn) in oracle._TRIG_LEAVES.items():
+        if kind.startswith("half_") and k % 2:
+            continue                             # even k only
+        for j in range(3 * k + 1) if shifted else [0]:
+            exact = cot_k(ctx) if kind == "cot_k" else trig(ctx, kind, j)
+            want = np.array([exact.eval(complex(v)) for v in z])
+            got = oracle._trig_sum([(1, [(kind, j)])], k, phi)
+            rel = np.abs(got - want) / np.abs(want)
+            assert rel.max() < 1e-12, (kind, j, rel.max())
+
+
+def test_only_the_oracle_imports_numpy():
+    import ast
+    import pathlib
+
+    import dunklops
+    importers = set()
+    for path in sorted(pathlib.Path(dunklops.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
 
 
 # ---------------------------------------------------------------------------
