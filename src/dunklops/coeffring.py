@@ -25,6 +25,8 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     d_phi        only z (every other atom is prime to the new
                  numerator); nothing for a constant, whose d_phi is 0
     inv          none
+    x ** n       none beyond inv: num^n / den^n of a canonical form is
+                 canonical
     rotate_n, reflect, conj, neg   none (they map canonical forms to
                  canonical forms); rotate_n and reflect return a constant
                  unchanged
@@ -502,8 +504,13 @@ class ZRat:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        return binary_power(self if n >= 0 else self.inv(), abs(n),
-                            ZRat.const(self.ctx, 1))
+        base = self if n >= 0 else self.inv()
+        n = abs(n)
+        # No atom of a canonical denominator divides the numerator, so none
+        # divides its power: num^n / den^n is canonical with no trial division.
+        num = binary_power(ZRat(self.ctx, base.num, ()), n,
+                           ZRat.const(self.ctx, 1)).num
+        return ZRat(self.ctx, num, _den_tuple({a: m * n for a, m in base.den}))
 
     # -- the dihedral actions and the derivation -------------------------------
 

@@ -26,8 +26,10 @@ The jet of u is computed from its numerator and from each denominator atom
 (z, z - zeta^t, z^2 - zeta^t) separately, with zeta^t embedded as a complex
 number.  A factor that leaves L orders of the state reads only L orders of
 its coefficients, so each coefficient weight is built to the orders its
-place in the chain reads, mostly order 0 alone.  Per batch, the atom jets,
-the denominator jets and the coefficient weights are kept, each the longest
+place in the chain reads, mostly order 0 alone.  Atom and denominator jets
+are built to exactly the orders their coefficient asks for and dropped once
+it is formed.  Per batch, the jet of P, the powers z^j, the parameter
+products and the coefficient weights are kept, each weight the longest
 built so far, and a shorter request gets a prefix: the first L orders of a
 jet do not depend on the later ones.  No exact ring operation,
 normal ordering or operator product runs here, so a defect in the exact
@@ -192,6 +194,8 @@ def random_sample_point(rng, k: int, margin: float = _MARGIN) -> SamplePoint:
 def _leibniz(u, a):
     """The jet of u * a, to the orders a carries: (u a)^(j) is the sum over
     i of C(j, i) u^(i) a^(j - i)."""
+    if a.shape[2] == 1:
+        return u[:, :, :1] * a
     out = np.empty(a.shape, complex)
     for j in range(a.shape[2]):
         acc = u[:, :, 0] * a[:, :, j]
@@ -231,11 +235,12 @@ def _jet_order(chain) -> int:
 
 class _Batch:
     """One column per trial: the test function data (s, c, P), the sample
-    point (r, phi, a, b, w2), and the jets computed from them, up to order
-    J.  The jets live only as long as the batch's columns stay unchanged."""
+    point (r, phi, a, b, w2), the jet of P to order J and the coefficient
+    weights computed from them.  They live only as long as the batch's
+    columns stay unchanged."""
 
     __slots__ = ("ctx", "J", "T", "s", "c", "P", "r", "phi", "a", "b", "w2",
-                 "_x", "_zpow", "_jets", "_weights", "_ppow")
+                 "_x", "_zpow", "_initial", "_weights", "_ppow")
 
     def __init__(self, ctx: FieldCtx, J: int, s, c, P: dict, r, phi, a, b,
                  w2):
@@ -285,7 +290,7 @@ class _Batch:
         shift = (np.arange(2 * k) * (math.pi / k))[None, :, None]
         self._x = sigma * self.phi + shift                  # [2, 2k, T]
         self._zpow = {}
-        self._jets = {}
+        self._initial = None
         self._weights = {}
         self._ppow = {}
 
@@ -318,46 +323,37 @@ class _Batch:
     def _fourier_jet(self, coeffs: dict, L: int):
         """The first L orders of the jet of sum_j coeffs[j] z^j, coefficients
         numbers or [T]."""
-        orders = np.arange(L)[:, None, None, None]
-        out = np.zeros((L,) + self._x.shape, complex)
+        orders = np.arange(L)[:, None]
+        out = np.zeros((2, 2 * self.ctx.k, L, self.T), complex)
         for j, cj in coeffs.items():
-            out += (1j * j) ** orders * (cj * self.zpow(j))
-        return np.ascontiguousarray(np.moveaxis(out, 0, 2))
-
-    def _longest(self, key, L: int, build):
-        """The first L orders of the jet cached under ``key``; ``build(L)``
-        replaces the cached jet when it is shorter than that."""
-        jet = self._jets.get(key)
-        if jet is None or jet.shape[2] < L:
-            jet = self._jets[key] = build(L)
-        return jet if jet.shape[2] == L else jet[:, :, :L]
+            out += (1j * j) ** orders * (cj * self.zpow(j))[:, :, None]
+        return out
 
     def initial(self):
-        """The jet of P, the angular factor of the test functions."""
-        return self._longest("P", self.J + 1,
-                             lambda L: self._fourier_jet(self.P, L))
+        """The jet of P, the angular factor of the test functions, to order
+        J."""
+        if self._initial is None:
+            self._initial = self._fourier_jet(self.P, self.J + 1)
+        return self._initial
 
     def _atom_inverse(self, atom, L: int):
         """The first L orders of the jet of 1 / atom: z^-1, 1 / (z - zeta^t)
         or 1 / (z^2 - zeta^t).  Order m reads only the lower orders."""
-        def build(L):
-            if atom == ATOM_Z:
-                return self._fourier_jet({-1: 1.0}, L)
-            deg = 2 if atom[0] == "quad" else 1
-            zd = self.zpow(deg)
-            q = np.empty((2, 2 * self.ctx.k, L, self.T), complex)
-            q0 = 1.0 / (zd - self.ctx.unit_embed(atom[1]))
-            q[:, :, 0] = q0
-            # (atom * q)^(m) = 0 for m >= 1, with atom^(i) = (i deg)^i z^deg
-            for m in range(1, L):
-                acc = 0
-                for i in range(1, m + 1):
-                    acc = acc + (math.comb(m, i) * (1j * deg) ** i) \
-                        * q[:, :, m - i]
-                q[:, :, m] = -q0 * zd * acc
-            return q
-
-        return self._longest(("atom", atom), L, build)
+        if atom == ATOM_Z:
+            return self._fourier_jet({-1: 1.0}, L)
+        deg = 2 if atom[0] == "quad" else 1
+        zd = self.zpow(deg)
+        q = np.empty((2, 2 * self.ctx.k, L, self.T), complex)
+        q0 = 1.0 / (zd - self.ctx.unit_embed(atom[1]))
+        q[:, :, 0] = q0
+        # (atom * q)^(m) = 0 for m >= 1, with atom^(i) = (i deg)^i z^deg
+        for m in range(1, L):
+            acc = 0
+            for i in range(1, m + 1):
+                acc = acc + (math.comb(m, i) * (1j * deg) ** i) \
+                    * q[:, :, m - i]
+            q[:, :, m] = -q0 * zd * acc
+        return q
 
     def coefficient(self, u, L: int):
         """The first L orders of the jet of a ZRat, or its value if it does
@@ -373,15 +369,12 @@ class _Batch:
     def _denominator(self, den: tuple, L: int):
         """The first L orders of the jet of 1 / den, multiplied together
         atom by atom (expanding the product first would lose precision)."""
-        def build(L):
-            jet = None
-            for atom, mult in den:
-                q = self._atom_inverse(atom, L)
-                for _ in range(mult):
-                    jet = q if jet is None else _leibniz(q, jet)
-            return jet
-
-        return self._longest(("den", den), L, build)
+        jet = None
+        for atom, mult in den:
+            q = self._atom_inverse(atom, L)
+            for _ in range(mult):
+                jet = q if jet is None else _leibniz(q, jet)
+        return jet
 
     def weights(self, coeff, L: int) -> dict:
         """m -> the weight of r^m in a Coefficient, its a, b, w2 monomials
@@ -420,7 +413,8 @@ def _apply(op: OpExpr, state: dict, L: int, batch: _Batch) -> dict:
             sign = (-1.0) ** np.arange(L_out + q)[:, None]
             st = {d: jet[::-1][:, neg] * sign for d, jet in st.items()}
         if i:                        # (R^i A)(x) = A(x + i pi/k)
-            st = {d: np.roll(jet, -i, axis=1) for d, jet in st.items()}
+            moved = (np.arange(k2) + i) % k2
+            st = {d: jet[:, moved] for d, jet in st.items()}
         if q:
             st = {d: jet[:, :, q:] for d, jet in st.items()}
         for _ in range(p):           # d/dr of r^(s+d) exp(c r^2)

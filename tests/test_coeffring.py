@@ -15,7 +15,7 @@ from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _zeta_times, _zp_add, _zp_deriv, _zp_mul,
                                 _zp_neg, _zp_shift, cot_k,
                                 factor_unit_binomial, trig)
-from dunklops.cyclofield import CycloScalar, ctx_new
+from dunklops.cyclofield import CycloScalar, binary_power, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 
 # real-valued reference implementations of each constructor, by kind
@@ -646,6 +646,48 @@ def test_every_product_is_the_general_product(k, data):
         got, want = x * y, _general_product(x, y)
         assert got == want and _exact(got.num) == _exact(want.num)
         assert got == y * x
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_a_power_is_the_square_and_multiply_product(k, data):
+    """x ** n, formed as num^n over den^n, is the square-and-multiply product
+    of x (or of its inverse) down to the coordinate types, also for bases
+    with repeated atoms and for the zero power."""
+    ctx = ctx_new(k)
+    pool = (_leaves(ctx, data) + _constants(ctx) + [cot_k(ctx)]
+            + [_draw_zrat(data, ctx, [1, 2])])
+    x = data.draw(st.sampled_from(pool))
+    n = data.draw(st.integers(-6, 6))
+    try:
+        base = x if n >= 0 else x.inv()
+    except (CoeffError, ScalarInversionError) as exc:
+        with pytest.raises(type(exc)):
+            x ** n
+        return
+    got = x ** n
+    want = binary_power(base, abs(n), ZRat.const(ctx, 1))
+    assert got == want and _exact(got.num) == _exact(want.num)
+    _assert_canonical(got)
+
+
+def test_a_power_makes_no_trial_division_beyond_inv(monkeypatch):
+    tries = []
+    divmod_atom = coeffring._divmod_atom
+    monkeypatch.setattr(coeffring, "_divmod_atom",
+                        lambda *args: tries.append(1) or divmod_atom(*args))
+
+    def count(fn):
+        tries.clear()
+        fn()
+        return len(tries)
+
+    for k, kind, powers in ((3, "sec2_shift", (2, 8, 128, -2, -128)),
+                            (2, "tan_shift", (-256, 3, 256))):
+        x = trig(ctx_new(k), kind, 1)
+        for n in powers:
+            want = count(x.inv) if n < 0 else 0
+            assert count(lambda: x ** n) == want, (kind, n)
 
 
 # ---------------------------------------------------------------------------

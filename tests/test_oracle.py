@@ -14,12 +14,13 @@ from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
 from dunklops.identities import (OperatorSet, iter_rows, operator_set,
                                  shadow_reports)
-from dunklops.opalgebra import (commutator, op_coeff, op_I, op_R, op_dphi,
-                                op_dr)
+from dunklops.opalgebra import (commutator, op_coeff, op_I, op_param, op_R,
+                                op_dphi, op_dr)
 from dunklops.oracle import (DEFAULT_SEED, OracleReport, SamplePoint,
-                             TestFunc, TestFuncSum, _Batch, apply, f_value,
-                             numeric_check, numeric_check_spec,
-                             random_sample_point, random_test_func)
+                             TestFunc, TestFuncSum, _Batch, _apply, _leibniz,
+                             apply, f_value, numeric_check,
+                             numeric_check_spec, random_sample_point,
+                             random_test_func)
 
 
 def rel_close(x, y, tol=1e-12):
@@ -412,16 +413,21 @@ def test_no_oracle_state_outlives_a_call():
     assert len(ctx_new(3).oracle_cache) == 0
 
 
+def _members(k):
+    """Every member of ``operator_set(k)``, built, as the shadow's set-up
+    leaves them."""
+    ops = operator_set(k)
+    return [getattr(ops, n) for n, v in vars(OperatorSet).items()
+            if isinstance(v, cached_property) and (n != "S" or k % 2 == 0)]
+
+
 def test_weights_to_L_orders_are_prefixes_of_the_full_jets():
     """A weight asked for L orders is bit for bit the first L orders of the
     weight to order J, also after shorter ones were built and cached."""
     J = 4
     for k in (3, 4):
-        ops = operator_set(k)
-        names = [n for n, v in vars(OperatorSet).items()
-                 if isinstance(v, cached_property) and (n != "S" or k % 2 == 0)]
-        coeffs = {c for n in names for c in getattr(ops, n).terms.values()}
-        draw = lambda: _Batch.draw(np.random.default_rng(k), 7, ops.ctx, J,
+        coeffs = {c for op in _members(k) for c in op.terms.values()}
+        draw = lambda: _Batch.draw(np.random.default_rng(k), 7, ctx_new(k), J,
                                    invariant=False)
         full, growing = draw(), draw()
         for coeff in coeffs:
@@ -434,3 +440,82 @@ def test_weights_to_L_orders_are_prefixes_of_the_full_jets():
                         assert np.array_equal(got[m], w[:, :, :L]), (k, L)
                     else:
                         assert np.array_equal(got[m], w), (k, L)
+
+
+def test_a_shadow_check_keeps_a_bounded_working_set():
+    """Atom and denominator jets are built where they are read and not kept
+    on the batch, so the k = 5 ``integral_commutes`` rows, the largest of a
+    shadow pass, peak at under 5 MB of traced allocations (8.4 MB when the
+    batch kept every jet it built)."""
+    import tracemalloc
+
+    _members(5)
+    tracemalloc.start()
+    try:
+        shadow_reports("integral_commutes", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000, peak
+
+
+def _leibniz_reference(u, a):
+    """The truncated Leibniz product as a double loop over every order."""
+    out = np.empty(a.shape, complex)
+    for j in range(a.shape[2]):
+        acc = u[:, :, 0] * a[:, :, j]
+        for i in range(1, j + 1):
+            acc += math.comb(j, i) * (u[:, :, i] * a[:, :, j - i])
+        out[:, :, j] = acc
+    return out
+
+
+def _fourier_jet_reference(batch, coeffs, L):
+    """The Fourier jet built order-major, [L, 2, 2k, T], then moved to
+    [2, 2k, L, T] and copied."""
+    orders = np.arange(L)[:, None, None, None]
+    out = np.zeros((L,) + batch._x.shape, complex)
+    for j, cj in coeffs.items():
+        out += (1j * j) ** orders * (cj * batch.zpow(j))
+    return np.ascontiguousarray(np.moveaxis(out, 0, 2))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_jet_helpers_match_their_loop_references(k):
+    """The one-order Leibniz product, the Fourier jet written in its final
+    layout and the rotation as one gather are bit for bit the double loop,
+    the moveaxis copy and ``np.roll``, for constant and jet weights."""
+    ctx = ctx_new(k)
+    k2 = 2 * k
+    neg = (-np.arange(k2)) % k2
+    weights = [op_R(ctx, 0),                                 # 1
+               op_coeff(ctx, 2) * op_param(ctx, "a"),        # 2 a, per trial
+               op_coeff(ctx, trig(ctx, "tan_shift", 1))]     # a jet
+    for L in range(1, 6):
+        batch = _Batch.draw(np.random.default_rng(L), 6, ctx, L - 1,
+                            invariant=False)
+        jet = batch.initial()
+        assert np.array_equal(jet, _fourier_jet_reference(batch, batch.P, L))
+        coeffs = {-2: 0.5 - 1.5j, 0: batch.a + 0j, 3: batch.b * 1j}
+        assert np.array_equal(batch._fourier_jet(coeffs, L),
+                              _fourier_jet_reference(batch, coeffs, L))
+        long = _fourier_jet_reference(batch, coeffs, L + 2)
+        assert np.array_equal(_leibniz(long, jet),
+                              _leibniz_reference(long, jet))
+        for w_op in weights:
+            (_key, coeff), = w_op.terms.items()
+            (w,) = batch.weights(coeff, L).values()
+            for i in range(k2):
+                for e in (0, 1):
+                    op = w_op * op_R(ctx, i) * (op_I(ctx) if e else 1)
+                    moved = jet
+                    if e:
+                        sign = (-1.0) ** np.arange(L)[:, None]
+                        moved = moved[::-1][:, neg] * sign
+                    moved = np.roll(moved, -i, axis=1)
+                    want = (_leibniz_reference(w, moved)
+                            if isinstance(w, np.ndarray) and w.ndim == 4
+                            else w * moved)
+                    got = _apply(op, {0: jet}, L, batch)
+                    assert got.keys() == {0}
+                    assert np.array_equal(got[0], want), (k, L, i, e)
