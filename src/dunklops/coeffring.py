@@ -25,8 +25,7 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     d_phi        only z (every other atom is prime to the new
                  numerator); nothing for a constant, whose d_phi is 0
     inv          none
-    x ** n       none beyond inv: num^n / den^n of a canonical form is
-                 canonical
+    x ** n       none beyond inv (num^n / den^n is canonical)
     rotate_n, reflect, conj, neg   none (they map canonical forms to
                  canonical forms); rotate_n and reflect return a constant
                  unchanged

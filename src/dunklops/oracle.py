@@ -330,8 +330,7 @@ class _Batch:
         return out
 
     def initial(self):
-        """The jet of P, the angular factor of the test functions, to order
-        J."""
+        """The jet of P, the test functions' angular factor, to order J."""
         if self._initial is None:
             self._initial = self._fourier_jet(self.P, self.J + 1)
         return self._initial
