@@ -445,7 +445,7 @@ def test_weights_to_L_orders_are_prefixes_of_the_full_jets():
 def test_a_shadow_check_keeps_a_bounded_working_set():
     """Atom and denominator jets are built where they are read and not kept
     on the batch, so the k = 5 ``integral_commutes`` rows, the largest of a
-    shadow pass, peak at under 5 MB of traced allocations (8.4 MB when the
+    shadow pass, peak at under 5 MB of traced allocations (8.8 MB when the
     batch kept every jet it built)."""
     import tracemalloc
 
