@@ -10,6 +10,10 @@ Every operator the verification suite talks about is built here, for any
     build_Xk      its angular part (the separation constant operator)
     build_extended_Hk   the group-invariant extension, in either of its two
                   equivalent forms ("via_Dphi" / "via_Dr")
+    OperatorSet   all of these for one (k, mutation), built lazily and cached;
+                  its ``hk_ext`` states both forms of the extension once, as
+                  weighted chains (an ``Assembly``) that the exact side sums
+                  and the oracle applies
 
 ``explicit_k3_*`` and ``explicit_k2_*`` are the same operators written out
 summand by summand for those two k values, used to cross-check the general
@@ -25,6 +29,8 @@ verification suite; they must never be used for anything else:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .coeffring import Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
@@ -38,7 +44,7 @@ __all__ = [
     "explicit_k3_Dr", "explicit_k3_Dphi", "explicit_k3_Dphi_squared",
     "explicit_k3_counterterm", "explicit_k2_Dr", "explicit_k2_Dphi",
     "explicit_k2_Dphi_squared", "explicit_k2_counterterm",
-    "OPERATORS", "MUTATIONS", "Mutation",
+    "OPERATORS", "MUTATIONS", "Mutation", "OperatorSet", "Assembly",
 ]
 
 
@@ -213,46 +219,182 @@ def build_Dphi_squared_expanded(k) -> OpExpr:
     return settle(ctx, deposit(acc, build_counterterm(ctx)))
 
 
-def build_extended_Hk(k, form: str = "via_Dphi", mutation: str | None = None,
-                      _dr: OpExpr | None = None,
-                      _dphi2: OpExpr | None = None) -> OpExpr:
-    """The invariant extension, assembled from either defining expression.
+def build_extended_Hk(k, form: str = "via_Dphi",
+                      mutation: str | None = None) -> OpExpr:
+    """The invariant extension, assembled from either defining expression
+    as ``OperatorSet.hk_ext`` states it."""
+    ops = OperatorSet(_as_ctx(k), mutation)
+    return ops.assemble(ops.hk_ext(form))
 
-    ``_dr``/``_dphi2`` let callers reuse already-built ingredients (the suite
-    shares one angular square across several checks); when absent they are
-    built fresh.
-    """
-    ctx = _as_ctx(k)
-    _check_mutation(mutation)
-    if form not in ("via_Dphi", "via_Dr"):
+
+# -- the shared operator set -----------------------------------------------------
+
+
+class Assembly:
+    """An operator stated as a sum of weighted chains: ``stages`` of
+    [(weight, [factor, ...]), ...], each settled before the next is added.
+    As a chain factor it stands for that sum; the exact side reads it from
+    the OperatorSet member ``name``, which caches it, and the oracle applies
+    its chains factor by factor."""
+
+    __slots__ = ("name", "stages")
+
+    def __init__(self, name: str, stages: list):
+        self.name, self.stages = name, stages
+
+    @property
+    def chains(self) -> list:
+        return [chain for stage in self.stages for chain in stage]
+
+
+class OperatorSet:
+    """All operators a suite run needs for one (k, mutation), built lazily
+    and shared across checks (the angular square is the expensive one) and,
+    unmutated, with the CLI's named operators."""
+
+    def __init__(self, ctx: FieldCtx, mutation: str | None = None):
+        _check_mutation(mutation)
+        self.ctx = ctx
+        self.mutation = mutation
+
+    @cached_property
+    def R(self) -> OpExpr:
+        return op_R(self.ctx)
+
+    @cached_property
+    def I(self) -> OpExpr:
+        return op_I(self.ctx)
+
+    @cached_property
+    def one(self) -> OpExpr:
+        return op_one(self.ctx)
+
+    @cached_property
+    def inv_r(self) -> OpExpr:
+        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=-1))
+
+    @cached_property
+    def inv_r2(self) -> OpExpr:
+        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=-2))
+
+    @cached_property
+    def osc(self) -> OpExpr:
+        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=2, w2=1))
+
+    @cached_property
+    def Dr(self) -> OpExpr:
+        return build_Dr(self.ctx, self.mutation)
+
+    @cached_property
+    def Dphi(self) -> OpExpr:
+        return build_Dphi(self.ctx, self.mutation)
+
+    @cached_property
+    def Dphi2(self) -> OpExpr:
+        return self.Dphi * self.Dphi
+
+    def chain(self, factors) -> OpExpr:
+        """The product of a chain, left to right.  A tuple factor is a
+        sub-product, (Dphi, Dphi) the cached Dphi2; an Assembly is the sum
+        its member caches."""
+        total = None
+        for f in factors:
+            if isinstance(f, Assembly):
+                f = getattr(self, f.name)
+            elif isinstance(f, tuple):
+                f = (self.Dphi2 if f == (self.Dphi, self.Dphi)
+                     else self.chain(f))
+            total = f if total is None else total * f
+        return self.one if total is None else total
+
+    def deposit_chain(self, acc: dict, chain, weight: int = 1,
+                      project: bool = False) -> dict:
+        """acc += weight * the product of ``chain``.  The factors but the
+        last are multiplied out by ``self.chain``; the last product goes
+        into the accumulator, where the parts the chains share cancel."""
+        last = self.chain(chain[-1:])
+        if len(chain) > 1:
+            return accumulate(acc, self.chain(chain[:-1]), last, weight,
+                              project)
+        return deposit(acc, last, weight, project)
+
+    def assemble(self, assembly: Assembly) -> OpExpr:
+        """The sum an Assembly states, each stage settled before the next."""
+        acc: dict = {}
+        for stage in assembly.stages:
+            acc = deposit({}, settle(self.ctx, acc))
+            for weight, chain in stage:
+                self.deposit_chain(acc, chain, weight)
+        return settle(self.ctx, acc)
+
+    def hk_ext(self, form: str) -> Assembly:
+        """The invariant extension in either defining expression:
+
+            via_Dphi  -dr^2 - r^-1 dr - r^-2 Dphi^2 + r^-2 counterterm + osc
+            via_Dr    -Dr^2 - r^-1 (bracket Dr) - r^-2 Dphi^2 + osc
+
+        The first two summands via Dr cancel terms that the third brings
+        back; settling them first keeps the term order of the chained sum,
+        which the oracle sums in."""
+        dphi2 = (self.Dphi, self.Dphi)
+        if form == "via_Dphi":
+            dr = op_dr(self.ctx)
+            return Assembly("HkExtPhi", [[
+                (-1, [dr, dr]), (-1, [self.inv_r, dr]),
+                (-1, [self.inv_r2, dphi2]),
+                (1, [self.inv_r2, self.counterterm]), (1, [self.osc])]])
+        if form == "via_Dr":
+            return Assembly("HkExtDr", [
+                [(-1, [self.Dr, self.Dr]),
+                 (-1, [self.inv_r, (self.bracket, self.Dr)])],
+                [(-1, [self.inv_r2, dphi2]), (1, [self.osc])]])
         raise AlgebraError(f"unknown form {form!r}")
-    if _dphi2 is None:
-        dphi = build_Dphi(ctx, mutation)
-        _dphi2 = dphi * dphi
-    osc = op_coeff(ctx, Coefficient.monomial(ctx, m=2, w2=1))
-    if form == "via_Dphi":
-        radial = OpExpr(ctx, {
-            (2, 0, 0, 0): -Coefficient.one(ctx),
-            (1, 0, 0, 0): -Coefficient.monomial(ctx, m=-1),
-        })
-        inv_r2 = op_coeff(ctx, Coefficient.monomial(ctx, m=-2))
-        # radial - inv_r2 * (Dphi^2 - counterterm) + osc, settled once
-        acc = deposit({}, radial)
-        accumulate(acc, inv_r2, _dphi2, -1)
-        accumulate(acc, inv_r2, build_counterterm(ctx))
-        return settle(ctx, deposit(acc, osc))
-    if _dr is None:
-        _dr = build_Dr(ctx, mutation)
-    inv_r = op_coeff(ctx, Coefficient.monomial(ctx, m=-1))
-    bracket = op_one(ctx) + 2 * build_reflection_tail(ctx)
-    inv_r2 = op_coeff(ctx, Coefficient.monomial(ctx, m=-2))
-    # -Dr^2 - inv_r * (bracket * Dr) - inv_r2 * Dphi^2 + osc.  The first two
-    # summands cancel terms that the third brings back; settling them first
-    # keeps the term order of the chained sum, which the oracle sums in.
-    acc = accumulate({}, _dr, _dr, -1)
-    acc = deposit({}, settle(ctx, accumulate(acc, inv_r, bracket * _dr, -1)))
-    accumulate(acc, inv_r2, _dphi2, -1)
-    return settle(ctx, deposit(acc, osc))
+
+    @cached_property
+    def Dphi2_expanded(self) -> OpExpr:
+        return build_Dphi_squared_expanded(self.ctx)
+
+    @cached_property
+    def tail(self) -> OpExpr:
+        return build_reflection_tail(self.ctx)
+
+    @cached_property
+    def bracket(self) -> OpExpr:
+        return self.one + 2 * self.tail
+
+    @cached_property
+    def counterterm(self) -> OpExpr:
+        return build_counterterm(self.ctx)
+
+    @cached_property
+    def Hk(self) -> OpExpr:
+        return build_Hk(self.ctx)
+
+    @cached_property
+    def Xk(self) -> OpExpr:
+        return build_Xk(self.ctx)
+
+    @cached_property
+    def HkExtPhi(self) -> OpExpr:
+        return self.assemble(self.hk_ext("via_Dphi"))
+
+    @cached_property
+    def HkExtDr(self) -> OpExpr:
+        return self.assemble(self.hk_ext("via_Dr"))
+
+    @cached_property
+    def S(self) -> OpExpr:
+        return build_S(self.ctx)
+
+    @cached_property
+    def proj_shift(self) -> OpExpr:
+        """k^2 (a + b)^2 as a multiplication operator."""
+        k2 = self.ctx.scalar(self.ctx.k ** 2)
+        return op_coeff(self.ctx, Coefficient(self.ctx, {
+            (0, 2, 0, 0): ZRat.const(self.ctx, 1) * k2,
+            (0, 1, 1, 0): ZRat.const(self.ctx, 2) * k2,
+            (0, 0, 2, 0): ZRat.const(self.ctx, 1) * k2,
+        }))
 
 
 # -- explicit low-k transcriptions ------------------------------------------------

@@ -6,8 +6,8 @@ parity precondition excludes the given k report "skipped".  A check may have
 several rows (one per j value, per relation, per explicit sub-identity);
 every row becomes its own CheckReport with a ``base[row]`` id.
 
-Every row but one states its identity once, as weighted chains (lhs, rhs),
-and both witnesses read that one statement.  An operator row's exact
+Every row states its identity once, as weighted chains (lhs, rhs), and
+both witnesses read that one statement.  An operator row's exact
 residual is sum(lhs) - sum(rhs) computed with the symbolic product (the last
 product of every chain goes into one ``opalgebra.accumulate``, so the parts
 the chains share cancel as numerators over their common denominators); the
@@ -15,8 +15,10 @@ oracle module applies the same chains factor by factor to random test
 functions, so the numeric witness never relies on the product routine it is
 shadowing.  A trigonometric row's chains are products of leaves such as
 sec^2(phi + j pi/k), exact ``trig`` atoms on one side and the oracle's own
-closed forms on the other.  Only ``hk_two_forms`` (the generic dr against
-the two cached assemblies) states its sides apart: its witnesses differ.
+closed forms on the other.  ``hk_two_forms`` sets the two assemblies of
+the extension against each other as ``Assembly`` factors: the exact side
+subtracts the two cached sums, the oracle applies the chains that
+``OperatorSet.hk_ext`` states for each.
 
     >>> check("trig_sec2", 3).status
     'pass'
@@ -30,24 +32,21 @@ from __future__ import annotations
 
 import time
 from fnmatch import fnmatchcase
-from functools import cached_property, reduce
+from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .builders import (MUTATIONS, build_counterterm, build_Dphi,
-                       build_Dphi_squared_expanded, build_Dr,
-                       build_extended_Hk, build_Hk, build_reflection_tail,
-                       build_S, build_Xk, explicit_k2_counterterm,
-                       explicit_k2_Dphi, explicit_k2_Dphi_squared,
-                       explicit_k2_Dr, explicit_k3_counterterm,
-                       explicit_k3_Dphi, explicit_k3_Dphi_squared,
-                       explicit_k3_Dr)
-from .coeffring import (Coefficient, ZRat, _deposit_product, _settle_dens,
-                        cot_k, trig)
+# build_Dphi is not called here: perfbench's tracer patches the builders
+# imported by value into this module, and its self-test reads this one.
+from .builders import (Assembly, OperatorSet, build_Dphi,
+                       explicit_k2_counterterm, explicit_k2_Dphi,
+                       explicit_k2_Dphi_squared, explicit_k2_Dr,
+                       explicit_k3_counterterm, explicit_k3_Dphi,
+                       explicit_k3_Dphi_squared, explicit_k3_Dr)
+from .coeffring import ZRat, _deposit_product, _settle_dens, cot_k, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
-from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
-                        op_dr, op_one, settle)
+from .opalgebra import OpExpr, op_R, settle
 
 __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
            "check", "run_check", "run_suite", "shadow_reports", "iter_rows",
@@ -72,114 +71,6 @@ class CheckReport(NamedTuple):
 # shared operator cache
 # ---------------------------------------------------------------------------
 
-
-class OperatorSet:
-    """All operators a suite run needs for one (k, mutation), built lazily
-    and shared across checks (the angular square is the expensive one) and,
-    unmutated, with the CLI's named operators."""
-
-    def __init__(self, ctx: FieldCtx, mutation: str | None = None):
-        if mutation is not None and mutation not in MUTATIONS:
-            raise AlgebraError(f"unknown mutation {mutation!r}")
-        self.ctx = ctx
-        self.mutation = mutation
-
-    @cached_property
-    def R(self) -> OpExpr:
-        return op_R(self.ctx)
-
-    @cached_property
-    def I(self) -> OpExpr:
-        return op_I(self.ctx)
-
-    @cached_property
-    def one(self) -> OpExpr:
-        return op_one(self.ctx)
-
-    @cached_property
-    def inv_r(self) -> OpExpr:
-        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=-1))
-
-    @cached_property
-    def inv_r2(self) -> OpExpr:
-        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=-2))
-
-    @cached_property
-    def osc(self) -> OpExpr:
-        return op_coeff(self.ctx, Coefficient.monomial(self.ctx, m=2, w2=1))
-
-    @cached_property
-    def Dr(self) -> OpExpr:
-        return build_Dr(self.ctx, self.mutation)
-
-    @cached_property
-    def Dphi(self) -> OpExpr:
-        return build_Dphi(self.ctx, self.mutation)
-
-    @cached_property
-    def Dphi2(self) -> OpExpr:
-        return self.Dphi * self.Dphi
-
-    def chain(self, factors) -> OpExpr:
-        """The product of a chain, left to right.  A tuple factor is a
-        sub-product; (Dphi, Dphi) is the cached Dphi2."""
-        total = None
-        for f in factors:
-            if isinstance(f, tuple):
-                f = (self.Dphi2 if f == (self.Dphi, self.Dphi)
-                     else self.chain(f))
-            total = f if total is None else total * f
-        return self.one if total is None else total
-
-    @cached_property
-    def Dphi2_expanded(self) -> OpExpr:
-        return build_Dphi_squared_expanded(self.ctx)
-
-    @cached_property
-    def tail(self) -> OpExpr:
-        return build_reflection_tail(self.ctx)
-
-    @cached_property
-    def bracket(self) -> OpExpr:
-        return self.one + 2 * self.tail
-
-    @cached_property
-    def counterterm(self) -> OpExpr:
-        return build_counterterm(self.ctx)
-
-    @cached_property
-    def Hk(self) -> OpExpr:
-        return build_Hk(self.ctx)
-
-    @cached_property
-    def Xk(self) -> OpExpr:
-        return build_Xk(self.ctx)
-
-    @cached_property
-    def HkExtPhi(self) -> OpExpr:
-        return build_extended_Hk(self.ctx, "via_Dphi", self.mutation,
-                                 _dphi2=self.Dphi2)
-
-    @cached_property
-    def HkExtDr(self) -> OpExpr:
-        return build_extended_Hk(self.ctx, "via_Dr", self.mutation,
-                                 _dr=self.Dr, _dphi2=self.Dphi2)
-
-    @cached_property
-    def S(self) -> OpExpr:
-        return build_S(self.ctx)
-
-    @cached_property
-    def proj_shift(self) -> OpExpr:
-        """k^2 (a + b)^2 as a multiplication operator."""
-        k2 = self.ctx.scalar(self.ctx.k ** 2)
-        return op_coeff(self.ctx, Coefficient(self.ctx, {
-            (0, 2, 0, 0): ZRat.const(self.ctx, 1) * k2,
-            (0, 1, 1, 0): ZRat.const(self.ctx, 2) * k2,
-            (0, 0, 2, 0): ZRat.const(self.ctx, 1) * k2,
-        }))
-
-
 _OPSETS: dict = {}
 
 
@@ -199,13 +90,14 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 #     (kind, lhs, rhs)   kind "ops", or "ops-invariant" on group-invariant
 #                        functions; lhs/rhs: list[(int, [factor, ...])]
 #     ("trig", lhs, rhs) lhs/rhs: list[(int, [(leaf_kind, j), ...])]
-# A factor is an OpExpr or a tuple of them, a sub-product: the exact side
-# takes it from OperatorSet.chain (so (Dphi, Dphi) is the cached Dphi2), the
-# oracle applies its members one by one.  A leaf is a ``trig`` kind with its
-# unreduced shift j, or ("cot_k", 0).  The exact residual is
-# sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".
-# hk_two_forms gives (row_id, residual_fn, numeric_fn), which is what
-# iter_rows makes of every row:
+# A factor is an OpExpr, a tuple of them (a sub-product) or an Assembly (a
+# sum of chains).  The exact side takes a factor from OperatorSet.chain, so
+# (Dphi, Dphi) is the cached Dphi2 and an Assembly its cached sum; the oracle
+# applies a tuple's members one by one and an Assembly's chains.  A leaf is
+# a ``trig`` kind with its unreduced shift j, or ("cot_k", 0).  The exact
+# residual is sum(lhs) - sum(rhs), with sum(lhs) projected for
+# "ops-invariant".  iter_rows makes (row_id, residual_fn, numeric_fn) of
+# every row:
 #   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
 #   numeric_fn()  -> (kind, lhs, rhs), with plain chains for operators
 
@@ -312,20 +204,8 @@ def _rows_s_props(ops: OperatorSet):
 
 
 def _rows_hk_two_forms(ops: OperatorSet):
-    def numeric():
-        dr_gen, dphi = op_dr(ops.ctx), ops.Dphi
-        lhs = [(-1, [dr_gen, dr_gen]), (-1, [ops.inv_r, dr_gen]),
-               (-1, [ops.inv_r2, dphi, dphi]),
-               (1, [ops.inv_r2, ops.counterterm]), (1, [ops.osc])]
-        rhs = [(-1, [ops.Dr, ops.Dr]), (-1, [ops.inv_r, ops.bracket, ops.Dr]),
-               (-1, [ops.inv_r2, dphi, dphi]), (1, [ops.osc])]
-        return ("ops", lhs, rhs)
-
-    def residual():
-        acc = deposit({}, ops.HkExtPhi)
-        return settle(ops.ctx, deposit(acc, ops.HkExtDr, -1))
-
-    return [("[main]", residual, numeric)]
+    return [("[main]", lambda: _equal([ops.hk_ext("via_Dphi")],
+                                      [ops.hk_ext("via_Dr")]))]
 
 
 def _rows_hk_invariance(ops: OperatorSet):
@@ -456,9 +336,8 @@ def _trig_residual(ctx: FieldCtx, spec) -> ZRat:
 
 def _exact_residual(ops: OperatorSet, spec):
     """sum(lhs) - sum(rhs) of a spec; sum(lhs) is projected onto the
-    invariant sector for "ops-invariant".  Each chain's prefix comes from
-    ``ops.chain``; its last product goes into one accumulator with the
-    other chains', which is settled once."""
+    invariant sector for "ops-invariant".  Every chain goes into one
+    accumulator through ``ops.deposit_chain``, which is settled once."""
     kind, lhs, rhs = spec
     if kind == "trig":
         return _trig_residual(ops.ctx, spec)
@@ -466,40 +345,43 @@ def _exact_residual(ops: OperatorSet, spec):
     for sign, project, chains in ((1, kind == "ops-invariant", lhs),
                                   (-1, False, rhs)):
         for weight, chain in chains:
-            last = ops.chain(chain[-1:])
-            if len(chain) > 1:
-                accumulate(acc, ops.chain(chain[:-1]), last, sign * weight,
-                           project)
-            else:
-                deposit(acc, last, sign * weight, project)
+            ops.deposit_chain(acc, chain, sign * weight, project)
     return settle(ops.ctx, acc)
 
 
+def _spread(chains) -> list:
+    """Weighted chains as the oracle applies them: a tuple factor spreads
+    into its members, an Assembly into its own chains, over which the rest
+    of the chain distributes."""
+    out = []
+    for weight, chain in chains:
+        terms = [(weight, [])]
+        for f in chain:
+            parts = (_spread(f.chains) if isinstance(f, Assembly)
+                     else [(1, list(f) if isinstance(f, tuple) else [f])])
+            terms = [(w0 * w1, c0 + c1)
+                     for w0, c0 in terms for w1, c1 in parts]
+        out.extend(terms)
+    return out
+
+
 def _numeric_spec(spec):
-    """The spec as the oracle takes it: tuple factors spread into the chain."""
+    """The spec as the oracle takes it, its chains spread."""
     kind, lhs, rhs = spec
     if kind == "trig":
         return spec
-    spread = lambda chains: [
-        (w, [op for f in chain
-             for op in (f if isinstance(f, tuple) else (f,))])
-        for w, chain in chains]
-    return kind, spread(lhs), spread(rhs)
+    return kind, _spread(lhs), _spread(rhs)
 
 
 def iter_rows(check_id: str, k: int, mutation: str | None = None):
-    """The (row_id, residual_fn, numeric_fn) rows of one applicable check."""
+    """The (row_id, residual_fn, numeric_fn) rows of one applicable check;
+    both functions read the row's one spec."""
     if not applicable(check_id, k):
         return []
     ops = operator_set(k, mutation)
-    rows = []
-    for rid, *fns in _REGISTRY[check_id][1](ops):
-        if len(fns) == 1:
-            spec = fns[0]
-            fns = (lambda spec=spec: _exact_residual(ops, spec()),
-                   lambda spec=spec: _numeric_spec(spec()))
-        rows.append((check_id + rid, *fns))
-    return rows
+    return [(check_id + rid, lambda spec=spec: _exact_residual(ops, spec()),
+             lambda spec=spec: _numeric_spec(spec()))
+            for rid, spec in _REGISTRY[check_id][1](ops)]
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,13 @@ from .opalgebra import OpExpr, op_dphi
 
 __all__ = [
     "TestFunc", "TestFuncSum", "SamplePoint", "OracleReport",
-    "apply", "f_value", "numeric_check", "numeric_check_spec",
-    "random_test_func", "random_sample_point", "DEFAULT_SEED",
+    "apply", "f_value", "numeric_check", "numeric_check_spec", "DEFAULT_SEED",
 ]
 
 _DEGENERATE = 1e-6
 _MARGIN = 0.05
 _MAX_ROUNDS = 50
+_GENERIC_SLOTS = tuple(range(-3, 4))    # the powers of z in a generic P
 
 
 # ---------------------------------------------------------------------------
@@ -141,46 +141,6 @@ def apply(op: OpExpr, f) -> TestFuncSum:
     if f.ctx is not op.ctx:
         raise OracleError("operator and function live in different contexts")
     return TestFuncSum(op.ctx, f.f, (op,) + f.chain)
-
-
-# ---------------------------------------------------------------------------
-# random draws
-# ---------------------------------------------------------------------------
-
-_GENERIC_SLOTS = tuple(range(-3, 4))
-
-
-def random_test_func(rng, k: int, invariant: bool = False) -> TestFunc:
-    """One random family member; ``invariant`` restricts P to the monomials
-    fixed by the whole group (z^0 and z^{2k} + z^{-2k})."""
-    s = int(rng.integers(0, 4))
-    c = -float(rng.uniform(0.3, 1.2))
-    if invariant:
-        p0 = complex(*rng.uniform(-1, 1, 2))
-        p1 = complex(*rng.uniform(-1, 1, 2))
-        P = {0: p0, 2 * k: p1, -2 * k: p1}
-    else:
-        P = {j: complex(*rng.uniform(-1, 1, 2)) for j in _GENERIC_SLOTS}
-    return TestFunc(s, c, P)
-
-
-def random_sample_point(rng, k: int, margin: float = _MARGIN) -> SamplePoint:
-    """A sample point in the fundamental wedge with |sin k phi| and
-    |cos k phi| at least ``margin``."""
-    for _ in range(1000):
-        phi = float(rng.uniform(0.0, math.pi / (2 * k)))
-        if (abs(math.sin(k * phi)) >= margin
-                and abs(math.cos(k * phi)) >= margin):
-            break
-    else:  # pragma: no cover - margin < 1 always leaves room
-        raise OracleError("could not draw a sample angle inside the margin")
-    return SamplePoint(
-        r=float(rng.uniform(0.6, 2.5)),
-        phi=phi,
-        a_val=float(rng.uniform(0.5, 3.0)),
-        b_val=float(rng.uniform(0.5, 3.0)),
-        w2_val=float(rng.uniform(0.5, 3.0)),
-    )
 
 
 # ---------------------------------------------------------------------------

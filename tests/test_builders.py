@@ -107,15 +107,7 @@ def test_angular_reference_operator_even_only():
     assert build_S(6) == op_one(ctx6) + op_R(ctx6, 4) + op_R(ctx6, 8)
 
 
-def test_extension_forms_and_ingredient_reuse():
-    for k in (2, 3):
-        via_phi = build_extended_Hk(k, "via_Dphi")
-        via_dr = build_extended_Hk(k, "via_Dr")
-        dphi = build_Dphi(k)
-        dr = build_Dr(k)
-        assert build_extended_Hk(k, "via_Dphi", _dphi2=dphi * dphi) == via_phi
-        assert build_extended_Hk(k, "via_Dr", _dr=dr,
-                                 _dphi2=dphi * dphi) == via_dr
+def test_extension_rejects_an_unknown_form():
     with pytest.raises(AlgebraError):
         build_extended_Hk(2, "sideways")
 
@@ -139,8 +131,7 @@ def test_extension_keeps_the_chained_term_order(mutation):
             + osc,
         }
         for form, want in chained.items():
-            got = build_extended_Hk(ctx, form, mutation, _dr=dr,
-                                    _dphi2=dphi2)
+            got = build_extended_Hk(ctx, form, mutation)
             assert got == want
             assert list(got.terms) == list(want.terms)
             for key, c in got.terms.items():

@@ -10,6 +10,7 @@ from dunklops.errors import AlgebraError
 from dunklops.identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
                                  applicable, check, iter_rows, operator_set,
                                  run_check, run_suite, shadow_reports)
+from dunklops.opalgebra import op_dr
 from dunklops.oracle import numeric_check_spec
 
 EXPECTED_IDS = {
@@ -211,6 +212,59 @@ def test_oracle_rows_flag_mutations():
     for r in oracle_fail:
         assert r.residual_term_count >= 9      # over-tol in >= 90% of trials
         assert "max rel dev" in r.residual_sample
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(MUTATIONS)])
+def test_every_row_is_one_spec(mutation):
+    """Every row of every check is (row_id, spec_fn), and spec_fn() is the
+    one (kind, lhs, rhs) statement both witnesses read."""
+    for k in range(1, 9):
+        ops = operator_set(k, mutation)
+        for cid in CHECK_IDS:
+            if not applicable(cid, k):
+                continue
+            for row in identities._REGISTRY[cid][1](ops):
+                assert len(row) == 2, (cid, k, row)
+                rid, spec_fn = row
+                assert isinstance(rid, str) and rid.startswith("["), cid
+                kind, lhs, rhs = spec_fn()
+                assert kind in ("ops", "ops-invariant", "trig"), cid + rid
+                assert isinstance(lhs, list) and isinstance(rhs, list)
+
+
+def _hand_listed_hk_two_forms(ops):
+    """Both assemblies of the extension written out as the chains the
+    oracle applies: the generic dr via Dphi against Dr."""
+    dr, dphi = op_dr(ops.ctx), ops.Dphi
+    lhs = [(-1, [dr, dr]), (-1, [ops.inv_r, dr]),
+           (-1, [ops.inv_r2, dphi, dphi]),
+           (1, [ops.inv_r2, ops.counterterm]), (1, [ops.osc])]
+    rhs = [(-1, [ops.Dr, ops.Dr]), (-1, [ops.inv_r, ops.bracket, ops.Dr]),
+           (-1, [ops.inv_r2, dphi, dphi]), (1, [ops.osc])]
+    return ("ops", lhs, rhs)
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(MUTATIONS)])
+def test_hk_two_forms_spreads_into_the_hand_listed_chains(mutation):
+    """The oracle reads the same chains in the same order, each factor with
+    the same terms and monomials in the same order, so its sums stay bit
+    for bit."""
+    for k in range(1, 9):
+        ops = operator_set(k, mutation)
+        [(_row_id, _residual_fn, numeric_fn)] = iter_rows("hk_two_forms", k,
+                                                          mutation)
+        kind, lhs, rhs = numeric_fn()
+        want_kind, want_lhs, want_rhs = _hand_listed_hk_two_forms(ops)
+        assert kind == want_kind
+        for got, want in ((lhs, want_lhs), (rhs, want_rhs)):
+            assert [w for w, _ in got] == [w for w, _ in want], k
+            for (_, got_chain), (_, want_chain) in zip(got, want):
+                assert len(got_chain) == len(want_chain), k
+                for g, w in zip(got_chain, want_chain):
+                    assert g == w, k
+                    assert list(g.terms) == list(w.terms), k
+                    for key, c in g.terms.items():
+                        assert list(c.terms) == list(w.terms[key].terms), k
 
 
 def test_exact_and_numeric_witnesses_agree_on_every_row():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dunklops import identities
 from dunklops._rat import RAT
-from dunklops.builders import build_Dphi, build_Dr
+from dunklops.builders import Assembly, build_Dphi, build_Dr
 from dunklops.coeffring import Coefficient, ZRat, _den_tuple, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
@@ -298,19 +298,22 @@ def test_linear_laws_hypothesis(data, k):
 def test_product_matches_composition_numerically():
     import numpy as np
 
-    from dunklops.oracle import (apply, random_sample_point,
-                                 random_test_func)
-    rng = np.random.default_rng(7)
+    from dunklops.oracle import SamplePoint, TestFunc, _Batch, apply
     ctx = ctx_new(2)
+    # five columns of the numeric checks' own draw: f from the first, a
+    # sample point from each
+    b = _Batch.draw(np.random.default_rng(7), 5, ctx, 0, invariant=False)
     x = op_dphi(ctx) + op_coeff(ctx, trig(ctx, "tan_shift", 1)) * op_R(ctx)
     y = (op_dr(ctx) * op_I(ctx)
          + op_param(ctx, "a") * op_coeff(ctx, trig(ctx, "csc2_shift", 0)))
     prod = x * y
-    f = random_test_func(rng, 2)
+    f = TestFunc(int(b.s[0]), float(b.c[0]),
+                 {j: complex(v[0]) for j, v in b.P.items()})
     via_product = apply(prod, f)
     via_steps = apply(x, apply(y, f))
-    for _ in range(5):
-        pt = random_sample_point(rng, 2)
+    for t in range(5):
+        pt = SamplePoint(float(b.r[t]), float(b.phi[t]), float(b.a[t]),
+                         float(b.b[t]), float(b.w2[t]))
         lhs = via_product.value(pt)
         rhs = via_steps.value(pt)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
@@ -388,7 +391,10 @@ def _reference_project(x):
 def _reference_chain(ops, chain):
     total = ops.one
     for f in chain:
-        if isinstance(f, tuple):
+        if isinstance(f, Assembly):
+            f = _ref_sum(ops.ctx, [(w, _reference_chain(ops, c))
+                                   for w, c in f.chains])
+        elif isinstance(f, tuple):
             f = _reference_chain(ops, f)
         total = _reference_product(total, f)
     return total
@@ -439,9 +445,9 @@ def _spec_rows(k, mutation):
     ops = identities.operator_set(k, mutation)
     for cid in identities.DEFAULT_CHECK_IDS:
         if identities.applicable(cid, k):
-            for rid, *fns in identities._REGISTRY[cid][1](ops):
-                spec = fns[0]() if len(fns) == 1 else None
-                if spec is not None and spec[0] != "trig":
+            for rid, spec_fn in identities._REGISTRY[cid][1](ops):
+                spec = spec_fn()
+                if spec[0] != "trig":
                     yield ops, cid + rid, spec
 
 

@@ -19,12 +19,27 @@ from dunklops.opalgebra import (commutator, op_coeff, op_I, op_param, op_R,
 from dunklops.oracle import (DEFAULT_SEED, OracleReport, SamplePoint,
                              TestFunc, TestFuncSum, _Batch, _apply, _leibniz,
                              apply, f_value, numeric_check,
-                             numeric_check_spec, random_sample_point,
-                             random_test_func)
+                             numeric_check_spec)
 
 
 def rel_close(x, y, tol=1e-12):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
+def random_test_func(rng, k, invariant=False):
+    """The family member of one column of ``_Batch.draw``, the numeric
+    checks' own draw; ``invariant`` restricts P to z^0 and
+    z^{2k} + z^{-2k}."""
+    b = _Batch.draw(rng, 1, ctx_new(k), 0, invariant)
+    return TestFunc(int(b.s[0]), float(b.c[0]),
+                    {j: complex(v[0]) for j, v in b.P.items()})
+
+
+def random_sample_point(rng, k):
+    """The sample point of one column of ``_Batch.draw``."""
+    b = _Batch.draw(rng, 1, ctx_new(k), 0, invariant=False)
+    return SamplePoint(*(float(getattr(b, x)[0])
+                         for x in ("r", "phi", "a", "b", "w2")))
 
 
 def test_f_value_formula():
