@@ -46,8 +46,7 @@ from .exprparse import (elaborate, parse, parse_op, pretty,
 __version__ = "0.1.0"
 
 # The oracle imports numpy, so its names are resolved on first access.
-_ORACLE_NAMES = ("OracleReport", "SamplePoint", "TestFunc", "TestFuncSum",
-                 "numeric_check", "numeric_check_spec")
+_ORACLE_NAMES = ("OracleReport", "numeric_check", "numeric_check_spec")
 
 
 def __getattr__(name):
@@ -75,8 +74,7 @@ __all__ = [
     "build_Xk",
     "CHECK_IDS", "DEFAULT_CHECK_IDS", "CheckReport", "applicable", "check",
     "run_check", "run_suite", "shadow_reports",
-    "DEFAULT_SEED", "OracleReport", "SamplePoint", "TestFunc", "TestFuncSum",
-    "numeric_check", "numeric_check_spec",
+    "DEFAULT_SEED", "OracleReport", "numeric_check", "numeric_check_spec",
     "elaborate", "parse", "parse_op", "pretty", "pretty_coefficient",
     "pretty_zrat",
     "__version__",

@@ -42,21 +42,19 @@ names below).
 ``numeric_check`` / ``numeric_check_spec`` evaluate all trials as numpy
 columns; this is what the verification suite's numeric shadow uses.  Its
 trigonometric rows read the closed forms of ``_TRIG_LEAVES``, not ``trig``.
-``TestFunc`` / ``TestFuncSum`` / ``apply`` are the same engine on one test
-function at one point.
 
->>> ctx = ctx_new(3)
->>> f = TestFunc(s=1, c=-0.5, P={2: 1.0 + 0j})
->>> g = apply(op_dphi(ctx), f)                      # i z d/dz doubles ... x2i
->>> pt = SamplePoint(r=1.3, phi=0.21, a_val=0.7, b_val=1.1, w2_val=2.0)
->>> abs(g.value(pt) - 2j * f_value(f, pt)) < 1e-12
-True
+>>> from dunklops.opalgebra import op_dphi
+>>> dphi = op_dphi(ctx_new(3))
+>>> numeric_check(dphi, dphi).max_rel_dev        # the same chain, bit for bit
+0.0
+>>> numeric_check(dphi, -dphi, trials=20).status
+'fail'
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -65,12 +63,10 @@ from .coeffring import ATOM_Z
 from .cyclofield import CycloScalar, FieldCtx, ctx_new
 from .errors import OracleError
 from .identities import DEFAULT_SEED
-from .opalgebra import OpExpr, op_dphi
+from .opalgebra import OpExpr
 
-__all__ = [
-    "TestFunc", "TestFuncSum", "SamplePoint", "OracleReport",
-    "apply", "f_value", "numeric_check", "numeric_check_spec", "DEFAULT_SEED",
-]
+__all__ = ["OracleReport", "numeric_check", "numeric_check_spec",
+           "DEFAULT_SEED"]
 
 _DEGENERATE = 1e-6
 _MARGIN = 0.05
@@ -78,69 +74,11 @@ _MAX_ROUNDS = 50
 _GENERIC_SLOTS = tuple(range(-3, 4))    # the powers of z in a generic P
 
 
-# ---------------------------------------------------------------------------
-# public scalar layer
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TestFunc:
-    """One member of the closed family: r^s * exp(c r^2) * P(z)."""
-
-    __test__ = False                # not a pytest item, despite the name
-
-    s: int
-    c: object                       # rational (or float) Gaussian exponent
-    P: dict = field(default_factory=dict)   # j -> complex coefficient of z^j
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    r: float
-    phi: float
-    a_val: float
-    b_val: float
-    w2_val: float
-
-
-def f_value(f: TestFunc, pt: SamplePoint) -> complex:
-    z = complex(math.cos(pt.phi), math.sin(pt.phi))
-    poly = sum(coeff * z ** j for j, coeff in f.P.items())
-    return pt.r ** f.s * math.exp(float(f.c) * pt.r ** 2) * poly
-
-
-class TestFuncSum:
-    """A chain of operators applied to one TestFunc: a finite weighted sum
-    of family members, evaluated at a point by ``value``."""
-
-    __test__ = False                # not a pytest item, despite the name
-
-    __slots__ = ("ctx", "f", "chain")
-
-    def __init__(self, ctx: FieldCtx, f: TestFunc, chain: tuple = ()):
-        self.ctx = ctx
-        self.f = f
-        self.chain = chain          # leftmost factor acts last
-
-    @staticmethod
-    def lift(ctx: FieldCtx, f: TestFunc) -> "TestFuncSum":
-        return TestFuncSum(ctx, f)
-
-    def value(self, pt: SamplePoint) -> complex:
-        batch = _Batch.single(self.ctx, _jet_order(self.chain), self.f, pt)
-        return complex(_chain_value(1, self.chain, batch)[0])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TestFuncSum({len(self.chain)} operators)"
-
-
-def apply(op: OpExpr, f) -> TestFuncSum:
-    """Apply an operator to a TestFunc (or to an earlier result)."""
-    if isinstance(f, TestFunc):
-        f = TestFuncSum.lift(op.ctx, f)
-    if f.ctx is not op.ctx:
-        raise OracleError("operator and function live in different contexts")
-    return TestFuncSum(op.ctx, f.f, (op,) + f.chain)
+def _near_pole(k: int, phi):
+    """The angles within ``_MARGIN`` of a zero of sin(k phi) or cos(k phi),
+    where the tan/cot-type coefficients blow up; they are redrawn."""
+    return ((np.abs(np.sin(k * phi)) < _MARGIN)
+            | (np.abs(np.cos(k * phi)) < _MARGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +105,6 @@ def _leibniz(u, a):
 
 def _is_jet(w) -> bool:
     return isinstance(w, np.ndarray) and w.ndim == 4
-
-
-def _times(w, a):
-    """A weight (jet or phi-constant) times a jet."""
-    if _is_jet(w):
-        return _leibniz(w, a)
-    return w * a
 
 
 def _plus(x, y):
@@ -223,8 +154,7 @@ class _Batch:
                  for j in _GENERIC_SLOTS}
         phi = rng.uniform(0.0, math.pi / (2 * k), T)
         for _ in range(_MAX_ROUNDS):
-            bad = ((np.abs(np.sin(k * phi)) < _MARGIN)
-                   | (np.abs(np.cos(k * phi)) < _MARGIN))
+            bad = _near_pole(k, phi)
             n_bad = int(bad.sum())
             if not n_bad:
                 break
@@ -234,15 +164,6 @@ class _Batch:
         return cls(ctx, J, s, c, P, r=rng.uniform(0.6, 2.5, T), phi=phi,
                    a=rng.uniform(0.5, 3.0, T), b=rng.uniform(0.5, 3.0, T),
                    w2=rng.uniform(0.5, 3.0, T))
-
-    @classmethod
-    def single(cls, ctx: FieldCtx, J: int, f: TestFunc, pt: SamplePoint):
-        """The batch of one trial: ``f`` at ``pt``."""
-        col = np.atleast_1d
-        return cls(ctx, J, col(f.s), col(float(f.c)),
-                   {j: col(complex(v)) for j, v in f.P.items()},
-                   col(pt.r), col(pt.phi), col(pt.a_val), col(pt.b_val),
-                   col(pt.w2_val))
 
     def _refresh(self):
         k = self.ctx.k
@@ -384,7 +305,7 @@ def _apply(op: OpExpr, state: dict, L: int, batch: _Batch) -> dict:
             st = nxt
         for m, w in batch.weights(coeff, L_out).items():
             for d, jet in st.items():
-                _add(out, d + m, _times(w, jet))
+                _add(out, d + m, _leibniz(w, jet) if _is_jet(w) else w * jet)
     return out
 
 
@@ -501,8 +422,7 @@ def _run_trig(k, lhs, rhs, trials, tol, seed) -> OracleReport:
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, math.pi / (2 * k), trials)
     for _ in range(_MAX_ROUNDS):
-        bad = ((np.abs(np.sin(k * phi)) < _MARGIN)
-               | (np.abs(np.cos(k * phi)) < _MARGIN))
+        bad = _near_pole(k, phi)
         lv, rv = _trig_sum(lhs, k, phi), _trig_sum(rhs, k, phi)
         scale = np.maximum(np.abs(lv), np.abs(rv))
         bad |= scale < _DEGENERATE

@@ -465,6 +465,26 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.returncode == 0, proc.stderr[-500:]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--k", "1..4"],
+                                  ["show", "--k", "2", "--op", "Dr"]],
+                         ids=["verify", "show"])
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # as in ``dunklops verify --k 1..4 | head -2``: the reader is gone
+    # before the first write (unbuffered) or before the flush at exit (an
+    # empty PYTHONUNBUFFERED leaves stdout buffered)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "dunklops", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1, err[-500:]
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 # Names, literals and trig sugar of the grammar, plus a few tokens that are
 # valid only in other places, so that error paths are drawn too.
 _LEAVES = ("a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S",

@@ -298,25 +298,20 @@ def test_linear_laws_hypothesis(data, k):
 def test_product_matches_composition_numerically():
     import numpy as np
 
-    from dunklops.oracle import SamplePoint, TestFunc, _Batch, apply
+    from dunklops.oracle import _Batch, _chain_value, _jet_order
     ctx = ctx_new(2)
-    # five columns of the numeric checks' own draw: f from the first, a
-    # sample point from each
-    b = _Batch.draw(np.random.default_rng(7), 5, ctx, 0, invariant=False)
     x = op_dphi(ctx) + op_coeff(ctx, trig(ctx, "tan_shift", 1)) * op_R(ctx)
     y = (op_dr(ctx) * op_I(ctx)
          + op_param(ctx, "a") * op_coeff(ctx, trig(ctx, "csc2_shift", 0)))
     prod = x * y
-    f = TestFunc(int(b.s[0]), float(b.c[0]),
-                 {j: complex(v[0]) for j, v in b.P.items()})
-    via_product = apply(prod, f)
-    via_steps = apply(x, apply(y, f))
-    for t in range(5):
-        pt = SamplePoint(float(b.r[t]), float(b.phi[t]), float(b.a[t]),
-                         float(b.b[t]), float(b.w2[t]))
-        lhs = via_product.value(pt)
-        rhs = via_steps.value(pt)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+    # five columns of the numeric checks' own draw, each a test function at
+    # a sample point
+    b = _Batch.draw(np.random.default_rng(7), 5, ctx, _jet_order([x, y]),
+                    invariant=False)
+    lhs = _chain_value(1, [prod], b)
+    rhs = _chain_value(1, [x, y], b)
+    assert np.all(np.abs(lhs - rhs)
+                  <= 1e-9 * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Numeric oracle: analytic action on the Gaussian test family."""
 
-import cmath
 import math
 from functools import cached_property
 
@@ -16,142 +15,112 @@ from dunklops.identities import (OperatorSet, iter_rows, operator_set,
                                  shadow_reports)
 from dunklops.opalgebra import (commutator, op_coeff, op_I, op_param, op_R,
                                 op_dphi, op_dr)
-from dunklops.oracle import (DEFAULT_SEED, OracleReport, SamplePoint,
-                             TestFunc, TestFuncSum, _Batch, _apply, _leibniz,
-                             apply, f_value, numeric_check,
+from dunklops.oracle import (DEFAULT_SEED, _Batch, _apply, _chain_value,
+                             _jet_order, _leibniz, numeric_check,
                              numeric_check_spec)
 
 
 def rel_close(x, y, tol=1e-12):
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    """Elementwise relative closeness of two columns of values."""
+    return np.all(np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(
+        np.abs(x), np.abs(y))))
 
 
-def random_test_func(rng, k, invariant=False):
-    """The family member of one column of ``_Batch.draw``, the numeric
-    checks' own draw; ``invariant`` restricts P to z^0 and
+def draw(seed, T, k, chain=(), invariant=False):
+    """T columns of the numeric checks' own draw, with the jet of P long
+    enough for ``chain``; ``invariant`` restricts P to z^0 and
     z^{2k} + z^{-2k}."""
-    b = _Batch.draw(rng, 1, ctx_new(k), 0, invariant)
-    return TestFunc(int(b.s[0]), float(b.c[0]),
-                    {j: complex(v[0]) for j, v in b.P.items()})
+    return _Batch.draw(np.random.default_rng(seed), T, ctx_new(k),
+                       _jet_order(chain), invariant)
 
 
-def random_sample_point(rng, k):
-    """The sample point of one column of ``_Batch.draw``."""
-    b = _Batch.draw(rng, 1, ctx_new(k), 0, invariant=False)
-    return SamplePoint(*(float(getattr(b, x)[0])
-                         for x in ("r", "phi", "a", "b", "w2")))
+def one_column(k, chain, s, c, P, r, phi, a=1.0, b=1.0, w2=1.0):
+    """The batch of one trial: the test function (s, c, P) at the sample
+    point (r, phi, a, b, w2)."""
+    col = np.atleast_1d
+    return _Batch(ctx_new(k), _jet_order(chain), col(s), col(float(c)),
+                  {j: col(complex(v)) for j, v in P.items()}, col(r),
+                  col(phi), col(a), col(b), col(w2))
 
 
-def test_f_value_formula():
-    f = TestFunc(s=2, c=-0.5, P={1: 1 + 2j, -3: 0.25})
-    pt = SamplePoint(r=1.7, phi=0.4, a_val=1.0, b_val=1.0, w2_val=1.0)
-    z = cmath.exp(1j * pt.phi)
-    expect = pt.r ** 2 * math.exp(-0.5 * pt.r ** 2) \
-        * ((1 + 2j) * z + 0.25 * z ** -3)
-    assert rel_close(f_value(f, pt), expect)
-
-
-def test_lift_value_matches_f_value():
-    ctx = ctx_new(2)
-    rng = np.random.default_rng(3)
-    f = random_test_func(rng, 2)
-    lifted = TestFuncSum.lift(ctx, f)
-    for _ in range(5):
-        pt = random_sample_point(rng, 2)
-        assert rel_close(lifted.value(pt), f_value(f, pt))
+def closed_form(batch, phi=None, order=0):
+    """d^order/dphi^order of r^s e^{c r^2} sum_j P_j e^{i j phi} for every
+    column, at the sample angle or at the angles ``phi``."""
+    phi = batch.phi if phi is None else phi
+    poly = sum((1j * j) ** order * p * np.exp(1j * j * phi)
+               for j, p in batch.P.items())
+    return batch.r ** batch.s * np.exp(batch.c * batch.r ** 2) * poly
 
 
 def test_angular_derivative_multiplies_fourier_modes():
     ctx = ctx_new(3)
     for n in (-2, 0, 1, 3):
-        f = TestFunc(s=1, c=-0.5, P={n: 0.8 - 0.3j})
-        g = apply(op_dphi(ctx), f)
-        pt = SamplePoint(r=1.1, phi=0.37, a_val=2.0, b_val=0.7, w2_val=1.3)
-        assert rel_close(g.value(pt), 1j * n * f_value(f, pt))
+        batch = one_column(3, [op_dphi(ctx)], s=1, c=-0.5, P={n: 0.8 - 0.3j},
+                           r=1.1, phi=0.37, a=2.0, b=0.7, w2=1.3)
+        assert rel_close(_chain_value(1, [op_dphi(ctx)], batch),
+                         1j * n * closed_form(batch))
 
 
 def test_full_rotation_is_the_identity():
-    rng = np.random.default_rng(8)
     for k in (2, 3):
-        ctx = ctx_new(k)
-        f = random_test_func(rng, k)
-        g = apply(build_R(ctx, 2 * k), f)
-        for _ in range(4):
-            pt = random_sample_point(rng, k)
-            assert rel_close(g.value(pt), f_value(f, pt))
+        batch = draw(8, 4, k)
+        assert rel_close(_chain_value(1, [build_R(k, 2 * k)], batch),
+                         closed_form(batch))
 
 
 def test_group_action_convention():
-    # (R^m I f)(phi) = f(-phi - m pi/k): the reflection acts first
+    # (R^m I f)(phi) = f(-phi - m pi/k): the reflection acts first, and
+    # its phi-derivative is -f'(-phi - m pi/k)
     k = 3
     ctx = ctx_new(k)
-    rng = np.random.default_rng(21)
-    f = random_test_func(rng, k)
+    batch = draw(21, 3, k, [op_dphi(ctx)])
     for m in range(2 * k):
-        g = apply(op_R(ctx, m) * op_I(ctx), f)
-        for _ in range(3):
-            pt = random_sample_point(rng, k)
-            moved = SamplePoint(pt.r, -pt.phi - m * math.pi / k,
-                                pt.a_val, pt.b_val, pt.w2_val)
-            assert rel_close(g.value(pt), f_value(f, moved))
+        moved = -batch.phi - m * math.pi / k
+        group = op_R(ctx, m) * op_I(ctx)
+        assert rel_close(_chain_value(1, [group], batch),
+                         closed_form(batch, moved))
+        assert rel_close(_chain_value(1, [op_dphi(ctx), group], batch),
+                         -closed_form(batch, moved, order=1))
+
+
+def _radial(batch):
+    """d/dr of the test functions, in closed form."""
+    return (batch.s / batch.r + 2 * batch.c * batch.r) * closed_form(batch)
 
 
 def test_radial_derivative():
-    ctx = ctx_new(2)
-    rng = np.random.default_rng(5)
-    f = random_test_func(rng, 2)
-    g = apply(op_dr(ctx), f)
-    for _ in range(5):
-        pt = random_sample_point(rng, 2)
-        expect = (f.s / pt.r + 2 * f.c * pt.r) * f_value(f, pt)
-        assert rel_close(g.value(pt), expect)
+    batch = draw(5, 5, 2)
+    assert rel_close(_chain_value(1, [op_dr(ctx_new(2))], batch),
+                     _radial(batch))
 
 
-def _exact_dphi(f, pt):
-    z = cmath.exp(1j * pt.phi)
-    poly = sum(1j * j * coeff * z ** j for j, coeff in f.P.items())
-    return pt.r ** f.s * math.exp(float(f.c) * pt.r ** 2) * poly
-
-
-def _reflected(f, pt, m, k):
-    moved = SamplePoint(pt.r, -pt.phi - m * math.pi / k,
-                        pt.a_val, pt.b_val, pt.w2_val)
-    return f_value(f, moved)
+def _reflected(batch, m, k):
+    """(R^m I f) at the sample point: f at the angle -phi - m pi/k."""
+    return closed_form(batch, -batch.phi - m * math.pi / k)
 
 
 def test_angular_dunkl_matches_explicit_form_k3():
     k = 3
     op = build_Dphi(k)
-    rng = np.random.default_rng(20260815)
-    f = random_test_func(rng, k)
-    g = apply(op, f)
-    for _ in range(10):
-        pt = random_sample_point(rng, k)
-        expect = _exact_dphi(f, pt)
-        for i in range(k):
-            shift = pt.phi + i * math.pi / k
-            expect += (pt.a_val * math.tan(shift)
-                       * _reflected(f, pt, (k + 2 * i) % (2 * k), k))
-            expect -= (pt.b_val / math.tan(shift)
-                       * _reflected(f, pt, 2 * i, k))
-        got = g.value(pt)
-        assert abs(got - expect) <= 1e-9 * max(1.0, abs(got), abs(expect))
+    batch = draw(20260815, 10, k, [op])
+    expect = closed_form(batch, order=1)
+    for i in range(k):
+        shift = batch.phi + i * math.pi / k
+        expect = expect + (batch.a * np.tan(shift)
+                           * _reflected(batch, (k + 2 * i) % (2 * k), k))
+        expect = expect - batch.b / np.tan(shift) * _reflected(batch, 2 * i, k)
+    assert rel_close(_chain_value(1, [op], batch), expect, tol=1e-9)
 
 
 def test_radial_dunkl_matches_explicit_form_k3():
     k = 3
     op = build_Dr(k)
-    rng = np.random.default_rng(77)
-    f = random_test_func(rng, k)
-    g = apply(op, f)
-    for _ in range(10):
-        pt = random_sample_point(rng, k)
-        expect = (f.s / pt.r + 2 * f.c * pt.r) * f_value(f, pt)
-        for i in range(k):
-            expect -= (pt.a_val * _reflected(f, pt, 2 * i + 1, k)
-                       + pt.b_val * _reflected(f, pt, 2 * i, k)) / pt.r
-        got = g.value(pt)
-        assert abs(got - expect) <= 1e-9 * max(1.0, abs(got), abs(expect))
+    batch = draw(77, 10, k, [op])
+    expect = _radial(batch)
+    for i in range(k):
+        expect = expect - (batch.a * _reflected(batch, 2 * i + 1, k)
+                           + batch.b * _reflected(batch, 2 * i, k)) / batch.r
+    assert rel_close(_chain_value(1, [op], batch), expect, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +233,7 @@ def test_trig_closed_forms_match_the_exact_atoms(k):
     ctx = ctx_new(k)
     rng = np.random.default_rng(k)
     phi = rng.uniform(0.0, math.pi / (2 * k), 200)
-    phi = phi[(np.abs(np.sin(k * phi)) >= 0.05)
-              & (np.abs(np.cos(k * phi)) >= 0.05)][:40]
+    phi = phi[~oracle._near_pole(k, phi)][:40]
     z = np.exp(1j * phi)
     for kind, (shifted, _inverse, _fn) in oracle._TRIG_LEAVES.items():
         if kind.startswith("half_") and k % 2:
@@ -303,41 +271,33 @@ def test_only_the_oracle_imports_numpy():
 
 
 def test_random_test_func_generic_shape():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        f = random_test_func(rng, 3)
-        assert 0 <= f.s < 4
-        assert -1.2 <= f.c <= -0.3
-        assert set(f.P) == set(range(-3, 4))
+    batch = draw(1, 20, 3)
+    assert ((0 <= batch.s) & (batch.s < 4)).all()
+    assert ((-1.2 <= batch.c) & (batch.c <= -0.3)).all()
+    assert set(batch.P) == set(range(-3, 4))
+    assert all(p.shape == (20,) for p in batch.P.values())
 
 
 def test_random_test_func_invariant_shape():
-    rng = np.random.default_rng(2)
     for k in (2, 3):
-        f = random_test_func(rng, k, invariant=True)
-        assert set(f.P) == {0, 2 * k, -2 * k}
-        assert f.P[2 * k] == f.P[-2 * k]
+        batch = draw(2, 3, k, invariant=True)
+        assert set(batch.P) == {0, 2 * k, -2 * k}
+        assert np.array_equal(batch.P[2 * k], batch.P[-2 * k])
         # numerically invariant under both generators
         ctx = ctx_new(k)
-        rot = apply(op_R(ctx), f)
-        refl = apply(op_I(ctx), f)
-        for _ in range(3):
-            pt = random_sample_point(rng, k)
-            assert rel_close(rot.value(pt), f_value(f, pt))
-            assert rel_close(refl.value(pt), f_value(f, pt))
+        for op in (op_R(ctx), op_I(ctx)):
+            assert rel_close(_chain_value(1, [op], batch), closed_form(batch))
 
 
 def test_random_sample_point_ranges():
-    rng = np.random.default_rng(3)
     for k in (1, 4):
-        for _ in range(50):
-            pt = random_sample_point(rng, k)
-            assert 0.6 <= pt.r <= 2.5
-            assert 0.0 <= pt.phi <= math.pi / (2 * k)
-            assert abs(math.sin(k * pt.phi)) >= 0.05
-            assert abs(math.cos(k * pt.phi)) >= 0.05
-            for v in (pt.a_val, pt.b_val, pt.w2_val):
-                assert 0.5 <= v <= 3.0
+        batch = draw(3, 50, k)
+        assert ((0.6 <= batch.r) & (batch.r <= 2.5)).all()
+        assert ((0.0 <= batch.phi) & (batch.phi <= math.pi / (2 * k))).all()
+        assert (np.abs(np.sin(k * batch.phi)) >= 0.05).all()
+        assert (np.abs(np.cos(k * batch.phi)) >= 0.05).all()
+        for v in (batch.a, batch.b, batch.w2):
+            assert ((0.5 <= v) & (v <= 3.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +368,7 @@ def test_oracle_does_no_ring_arithmetic(monkeypatch):
     rhs = build_extended_Hk(k, "via_Dr")
     dphi = build_Dphi(k)
     spec = ("ops", [(1, [lhs, dphi, dphi]), (-1, [dphi, dphi, rhs])], [])
-    f = random_test_func(np.random.default_rng(4), k)
-    pt = random_sample_point(np.random.default_rng(5), k)
+    batch = draw(4, 5, k, [dphi, lhs])
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the oracle called exact ring arithmetic")
@@ -418,8 +377,7 @@ def test_oracle_does_no_ring_arithmetic(monkeypatch):
                  "__rmul__", "__add__", "__radd__", "__sub__", "__neg__"):
         monkeypatch.setattr(ZRat, name, forbidden)
     assert numeric_check_spec(spec, k, trials=20).status == "pass"
-    steps = apply(dphi, apply(lhs, f))
-    assert np.isfinite(steps.value(pt))
+    assert np.isfinite(_chain_value(1, [dphi, lhs], batch)).all()
 
 
 def test_no_oracle_state_outlives_a_call():

@@ -1,0 +1,36 @@
+"""The package's public surface: its exports and the README's examples."""
+
+import doctest
+import pathlib
+import re
+
+import dunklops
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_export_resolves_and_is_listed():
+    # the oracle's names resolve lazily, through the module's __getattr__
+    assert len(set(dunklops.__all__)) == len(dunklops.__all__)
+    listed = dir(dunklops)
+    for name in dunklops.__all__:
+        getattr(dunklops, name)
+        assert name in listed, name
+    assert set(dunklops._ORACLE_NAMES) <= set(dunklops.__all__)
+
+
+def test_readme_pycon_blocks_run_in_order():
+    blocks = re.findall(r"^```pycon\n(.*?)^```$", README.read_text(),
+                        re.M | re.S)
+    assert blocks
+    parser = doctest.DocTestParser()
+    runner = doctest.DocTestRunner()
+    report = []
+    namespace: dict = {}                 # shared, as in one session
+    for i, block in enumerate(blocks):
+        test = parser.get_doctest(block, namespace, f"README.md[{i}]",
+                                  str(README), 0)
+        runner.run(test, out=report.append, clear_globs=False)
+        namespace = test.globs           # a DocTest runs in a copy
+    assert runner.failures == 0, "".join(report)
+    assert runner.tries == sum(b.count(">>> ") for b in blocks)
