@@ -180,28 +180,23 @@ def cmd_show(args) -> int:
     return 0
 
 
-def cmd_norm(args) -> int:
+# The expression commands: name -> (help, operands, what is printed).  The
+# methods are called through lambdas, so that a patched OpExpr method runs.
+_EXPR_COMMANDS = {
+    "norm": ("normal-order an expression", ("expr",), lambda x: x),
+    "commute": ("commutator of two expressions", ("lhs", "rhs"), commutator),
+    "adjoint": ("formal adjoint of an expression", ("expr",),
+                lambda x: x.adjoint()),
+    "project": ("identity-representation projection of an expression",
+                ("expr",), lambda x: x.project_identity()),
+}
+
+
+def cmd_expr(args) -> int:
+    _, operands, fn = _EXPR_COMMANDS[args.command]
     ctx = ctx_new(_single_k(args))
-    print(pretty(_resolve(args.expr, ctx)))
-    return 0
-
-
-def cmd_commute(args) -> int:
-    ctx = ctx_new(_single_k(args))
-    lhs, rhs = _resolve(args.lhs, ctx), _resolve(args.rhs, ctx)
-    print(pretty(commutator(lhs, rhs)))
-    return 0
-
-
-def cmd_adjoint(args) -> int:
-    ctx = ctx_new(_single_k(args))
-    print(pretty(_resolve(args.expr, ctx).adjoint()))
-    return 0
-
-
-def cmd_project(args) -> int:
-    ctx = ctx_new(_single_k(args))
-    print(pretty(_resolve(args.expr, ctx).project_identity()))
+    print(pretty(fn(*[_resolve(getattr(args, name), ctx)
+                      for name in operands])))
     return 0
 
 
@@ -221,82 +216,68 @@ def cmd_oracle(args) -> int:
     return 0 if report.status == "pass" else 1
 
 
+class _ArgParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a failed write of the help; let a closed stdout
+        # raise, as any other output does
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgParser(
         prog="dunklops",
         description="Exact verification suite for dihedral differential-"
                     "difference operators.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_k(p):
+    def command(name, summary, fn, operands=()):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--k", required=True,
                        help="k value, comma list, or range like 1..6")
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(fn=fn)
+        return p
 
-    verify = sub.add_parser("verify", help="run the identity suite")
-    add_k(verify)
+    def numeric(p):
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+    verify = command("verify", "run the identity suite", cmd_verify)
     verify.add_argument("--suite", help="comma list of check-id globs")
     verify.add_argument("--mutate", choices=sorted(MUTATIONS),
                         help="apply a documented mutation (expect failures)")
     verify.add_argument("--oracle", action="store_true",
                         help="also run the numeric shadow of every row")
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--tol", type=float, default=1e-9)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    numeric(verify)
     verify.add_argument("--json", action="store_true",
                         help="emit the reports as a JSON array")
     verify.add_argument("--out", help="write the report to a file")
-    verify.set_defaults(fn=cmd_verify)
 
-    show = sub.add_parser("show", help="print named or ad-hoc operators")
-    add_k(show)
+    show = command("show", "print named or ad-hoc operators", cmd_show)
     show.add_argument("--op", help="a name from the operator registry")
     show.add_argument("expr", nargs="*", help="operator expressions")
-    show.set_defaults(fn=cmd_show)
 
-    norm = sub.add_parser("norm", help="normal-order an expression")
-    add_k(norm)
-    norm.add_argument("expr")
-    norm.set_defaults(fn=cmd_norm)
+    for name, (summary, operands, _) in _EXPR_COMMANDS.items():
+        command(name, summary, cmd_expr, operands)
 
-    comm = sub.add_parser("commute", help="commutator of two expressions")
-    add_k(comm)
-    comm.add_argument("lhs")
-    comm.add_argument("rhs")
-    comm.set_defaults(fn=cmd_commute)
-
-    adj = sub.add_parser("adjoint", help="formal adjoint of an expression")
-    add_k(adj)
-    adj.add_argument("expr")
-    adj.set_defaults(fn=cmd_adjoint)
-
-    proj = sub.add_parser("project", help="identity-representation "
-                                          "projection of an expression")
-    add_k(proj)
-    proj.add_argument("expr")
-    proj.set_defaults(fn=cmd_project)
-
-    orc = sub.add_parser("oracle", help="numeric comparison of two "
-                                        "expressions")
-    add_k(orc)
-    orc.add_argument("lhs")
-    orc.add_argument("rhs")
-    orc.add_argument("--trials", type=int, default=100)
-    orc.add_argument("--tol", type=float, default=1e-9)
-    orc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    orc = command("oracle", "numeric comparison of two expressions",
+                  cmd_oracle, ("lhs", "rhs"))
+    numeric(orc)
     orc.add_argument("--json", action="store_true")
-    orc.set_defaults(fn=cmd_oracle)
-
     return top
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.fn(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:           # --help, or a usage error
+            code = int(exc.code or 0)
+        else:
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

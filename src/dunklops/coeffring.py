@@ -200,13 +200,7 @@ def _atom_product(ctx: FieldCtx, atoms) -> list:
     return [tuple(row) for row in rows]
 
 
-def _add_atom(ctx: FieldCtx, atoms: dict, atom, mult: int = 1) -> None:
-    """Record an atom, splitting reducible quadratics z^2 - zeta^{even}."""
-    if atom[0] == "quad" and atom[1] % 2 == 0:
-        half = atom[1] // 2
-        _add_atom(ctx, atoms, ("lin", half % ctx.N), mult)
-        _add_atom(ctx, atoms, ("lin", (half + ctx.N // 2) % ctx.N), mult)
-        return
+def _add_atom(atoms: dict, atom, mult: int) -> None:
     atoms[atom] = atoms.get(atom, 0) + mult
 
 
@@ -221,17 +215,19 @@ def factor_unit_binomial(ctx: FieldCtx, n: int, t: int, atoms: dict,
     if N % n != 0:
         raise CoeffError(f"binomial degree {n} does not divide N={N}")
     if n == 1:
-        _add_atom(ctx, atoms, ("lin", t), mult)
+        _add_atom(atoms, ("lin", t), mult)
         return
     if t % n == 0:
         # full set of n roots zeta^{t/n + j N/n}
         s0 = t // n
         step = N // n
         for j in range(n):
-            _add_atom(ctx, atoms, ("lin", (s0 + j * step) % N), mult)
+            _add_atom(atoms, ("lin", (s0 + j * step) % N), mult)
         return
     if n % 2 == 0:
-        # no roots in the field; substitute y = z^2 and lift y-linear factors
+        # no roots in the field; substitute y = z^2 and lift y-linear factors.
+        # Each root zeta^s of y^(n/2) - zeta^t has s odd (t/(n/2) odd plus
+        # j*2N/n), so every lifted z^2 - zeta^s is irreducible.
         sub: dict = {}
         factor_unit_binomial(ctx, n // 2, t, sub, mult)
         for atom, m in sub.items():
@@ -239,7 +235,7 @@ def factor_unit_binomial(ctx: FieldCtx, n: int, t: int, atoms: dict,
                 raise CoeffError(
                     f"z^{n} - zeta^{t} needs factors of degree > 2"
                 )
-            _add_atom(ctx, atoms, ("quad", atom[1]), m)
+            _add_atom(atoms, ("quad", atom[1]), m)
         return
     raise CoeffError(f"z^{n} - zeta^{t} does not factor over the atom set")
 
@@ -337,14 +333,13 @@ def _cancel(ctx: FieldCtx, num, den) -> tuple[list, dict]:
 class ZRat:
     """A rational function of z over Q(zeta_N), in canonical reduced form."""
 
-    __slots__ = ("ctx", "num", "den", "_hash", "_den_poly")
+    __slots__ = ("ctx", "num", "den", "_hash")
 
     def __init__(self, ctx: FieldCtx, num: tuple, den: tuple):
         self.ctx = ctx
         self.num = num
         self.den = den
         self._hash = None
-        self._den_poly = None
 
     # -- construction ---------------------------------------------------------
 
@@ -385,13 +380,6 @@ class ZRat:
     def is_const(self) -> bool:
         """True if f does not depend on phi (zero included)."""
         return not self.den and len(self.num) < 2
-
-    def den_poly(self) -> list:
-        """The monic dense denominator (product of the atoms)."""
-        if self._den_poly is None:
-            self._den_poly = _atom_product(
-                self.ctx, [a for a, m in self.den for _ in range(m)])
-        return self._den_poly
 
     def den_degree(self) -> int:
         return sum(_atom_degree(a) * m for a, m in self.den)
@@ -483,7 +471,8 @@ class ZRat:
         # num = unit * product(atoms), with one inversion of the unit.
         unit_inv = [CycloScalar(ctx, self.num[-1]).inv().coeffs]
         atoms = _monic_atoms(ctx, _zp_mul(ctx, self.num, unit_inv))
-        num = _zp_mul(ctx, self.den_poly(), unit_inv)
+        den = _atom_product(ctx, [a for a, m in self.den for _ in range(m)])
+        num = _zp_mul(ctx, den, unit_inv)
         # The old numerator is coprime to the old denominator, which becomes
         # the new numerator, so no atom can cancel.
         return ZRat(ctx, tuple(num), _den_tuple(atoms))

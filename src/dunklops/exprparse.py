@@ -52,7 +52,8 @@ from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import CoeffError, ParseError
 from .opalgebra import (OpExpr, deposit, op_I, op_R, op_coeff, op_dphi, op_dr,
-                        op_one, op_param, op_r, op_scalar, settle)
+                        op_one, op_param, op_product, op_r, op_scalar,
+                        settle)
 
 __all__ = ["parse", "elaborate", "parse_op", "pretty", "pretty_coefficient",
            "pretty_zrat"]
@@ -290,10 +291,7 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
             deposit(acc, elaborate(node, ctx), sign)
         return settle(ctx, acc)
     if kind == "prod":
-        total = op_one(ctx)
-        for node in ast[1]:
-            total = total * elaborate(node, ctx)
-        return total
+        return op_product(ctx, [elaborate(node, ctx) for node in ast[1]])
     if kind == "pow":
         _, base, n, pos = ast
         base_op = elaborate(base, ctx)
@@ -355,46 +353,48 @@ def parse_op(text: str, ctx: FieldCtx) -> OpExpr:
 # ---------------------------------------------------------------------------
 
 
-def _join_signed(parts) -> str:
+def _join_signed(terms) -> str:
+    """The text of a signed sum of (sign, factors) terms; "0" if empty."""
     out = []
-    for idx, (sign, txt) in enumerate(parts):
-        if idx == 0:
-            out.append(("-" if sign < 0 else "") + txt)
-        else:
-            out.append((" - " if sign < 0 else " + ") + txt)
-    return "".join(out)
+    for sign, factors in terms:
+        if out:
+            out.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            out.append("-")
+        out.append("*".join(factors))
+    return "".join(out) or "0"
 
 
-def _pow_factor(name: str, n: int) -> list:
-    if n == 0:
-        return []
-    if n == 1:
-        return [name]
-    return [f"{name}^{n}"]
+def _powers(names, exponents) -> list:
+    """The factors name^n for the nonzero exponents, with "^1" left out."""
+    return [name if n == 1 else f"{name}^{n}"
+            for name, n in zip(names, exponents) if n]
+
+
+def _product(term, extra) -> tuple:
+    """(sign, factors) of ``term`` times the factors ``extra``; a leading
+    "1" is dropped when any other factor is left."""
+    sign, factors = term
+    factors = factors + extra
+    if len(factors) > 1 and factors[0] == "1":
+        factors = factors[1:]
+    return sign, factors
+
+
+def _sum(terms) -> tuple:
+    """(sign, factors) of a signed sum of terms: the one term itself, else
+    one parenthesized factor ("0" for no terms)."""
+    if len(terms) == 1:
+        return terms[0]
+    return 1, ["(" + _join_signed(terms) + ")" if terms else "0"]
 
 
 def _scalar_factors(row) -> tuple:
-    """(sign, factors) for one field scalar, given by its coordinate row, as
-    rational combinations of zeta powers; multi-term scalars come back as one
-    parenthesized factor."""
-    nz = [(j, q) for j, q in enumerate(row) if q]
-    if not nz:
-        return 1, ["0"]
-    if len(nz) == 1:
-        j, q = nz[0]
-        sign = -1 if q < 0 else 1
-        aq = abs(q)
-        factors = [] if (aq == 1 and j) else [str(aq)]
-        factors += _pow_factor("zeta", j)
-        return sign, factors
-    parts = []
-    for j, q in nz:
-        sign = -1 if q < 0 else 1
-        aq = abs(q)
-        factors = ([] if (aq == 1 and j) else [str(aq)]) \
-            + _pow_factor("zeta", j)
-        parts.append((sign, "*".join(factors) or "1"))
-    return 1, ["(" + _join_signed(parts) + ")"]
+    """(sign, factors) of one field scalar, given by its coordinate row, as
+    a rational combination of zeta powers."""
+    return _sum([_product((-1 if q < 0 else 1, [str(abs(q))]),
+                          _powers(("zeta",), (j,)))
+                 for j, q in enumerate(row) if q])
 
 
 def _atom_base(atom) -> str:
@@ -406,86 +406,29 @@ def _atom_base(atom) -> str:
     return f"({stem} - {root})"
 
 
-def _drop_unit(factors: list) -> list:
-    if len(factors) > 1 and factors[0] == "1":
-        return factors[1:]
-    return factors
-
-
 def _zrat_factors(zr: ZRat) -> tuple:
-    nz = [(d, c) for d, c in enumerate(zr.num) if any(c)]
-    if not nz:
-        return 1, ["0"]
-    if len(nz) == 1:
-        d, c = nz[0]
-        sign, factors = _scalar_factors(c)
-        factors = _drop_unit(factors + _pow_factor("z", d))
-    else:
-        sign = 1
-        parts = []
-        for d, c in nz:
-            s, f = _scalar_factors(c)
-            f = _drop_unit(f + _pow_factor("z", d))
-            parts.append((s, "*".join(f) or "1"))
-        factors = ["(" + _join_signed(parts) + ")"]
-    for atom, mult in zr.den:
-        if atom == ATOM_Z:
-            factors.append(f"z^-{mult}")
-        else:
-            factors.append(f"{_atom_base(atom)}^-{mult}")
-    return sign, _drop_unit(factors)
+    num = _sum([_product(_scalar_factors(c), _powers(("z",), (d,)))
+                for d, c in enumerate(zr.num) if any(c)])
+    return _product(num, [f"{_atom_base(atom)}^-{mult}"
+                          for atom, mult in zr.den])
 
 
 def pretty_zrat(zr: ZRat) -> str:
-    sign, factors = _zrat_factors(zr)
-    txt = "*".join(factors) or "1"
-    return "-" + txt if sign < 0 else txt
+    return _join_signed([_zrat_factors(zr)])
 
 
-def _monomial_factors(mkey, zr) -> tuple:
-    m, al, be, ga = mkey
-    sign, factors = _zrat_factors(zr)
-    if factors == ["1"] and (m or al or be or ga):
-        factors = []
-    factors += _pow_factor("r", m) + _pow_factor("a", al) \
-        + _pow_factor("b", be) + _pow_factor("w2", ga)
-    return sign, factors
-
-
-def _coeff_parts(coeff: Coefficient) -> list:
-    parts = []
-    for mkey, zr in coeff.items():
-        sign, factors = _monomial_factors(mkey, zr)
-        parts.append((sign, "*".join(factors) or "1"))
-    return parts
+def _monomial_terms(coeff: Coefficient) -> list:
+    return [_product(_zrat_factors(zr), _powers(("r", "a", "b", "w2"), mkey))
+            for mkey, zr in coeff.items()]
 
 
 def pretty_coefficient(coeff: Coefficient) -> str:
-    if coeff.is_zero():
-        return "0"
-    return _join_signed(_coeff_parts(coeff))
-
-
-def _gen_factors(p: int, q: int, i: int, e: int) -> list:
-    return (_pow_factor("dr", p) + _pow_factor("dphi", q)
-            + _pow_factor("R", i) + (["I"] if e else []))
+    return _join_signed(_monomial_terms(coeff))
 
 
 def pretty(op: OpExpr) -> str:
     """Canonical text form; re-parsing gives back an equal operator."""
-    if op.is_zero():
-        return "0"
-    parts = []
-    for (p, q, i, e), coeff in op.items():
-        gens = _gen_factors(p, q, i, e)
-        monos = coeff.items()
-        if len(monos) == 1:
-            sign, factors = _monomial_factors(monos[0][0], monos[0][1])
-            if factors == ["1"] and gens:
-                factors = []
-        else:
-            sign = 1
-            factors = ["(" + _join_signed(_coeff_parts(coeff)) + ")"]
-        factors += gens
-        parts.append((sign, "*".join(factors) or "1"))
-    return _join_signed(parts)
+    return _join_signed([
+        _product(_sum(_monomial_terms(coeff)),
+                 _powers(("dr", "dphi", "R", "I"), gens))
+        for gens, coeff in op.items()])

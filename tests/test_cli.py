@@ -466,8 +466,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 
 @pytest.mark.parametrize("argv", [["verify", "--k", "1..4"],
-                                  ["show", "--k", "2", "--op", "Dr"]],
-                         ids=["verify", "show"])
+                                  ["show", "--k", "2", "--op", "Dr"],
+                                  ["--help"], ["verify", "--help"]],
+                         ids=["verify", "show", "help", "verify-help"])
 @pytest.mark.parametrize("unbuffered", ["", "1"],
                          ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):

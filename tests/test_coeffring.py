@@ -233,6 +233,22 @@ def test_factor_unit_binomial_roundtrip():
         assert prod == expect
     with pytest.raises(CoeffError):
         factor_unit_binomial(ctx, 5, 0, {})   # 5 does not divide N = 12
+    # every quadratic atom is z^2 - zeta^s with s odd, so irreducible
+    quads = 0
+    for k in range(1, 13):
+        ctx = ctx_new(k)
+        for n in (n for n in range(1, ctx.N + 1) if ctx.N % n == 0):
+            for t in range(ctx.N):
+                atoms: dict = {}
+                try:
+                    factor_unit_binomial(ctx, n, t, atoms)
+                except CoeffError:
+                    continue
+                for atom in atoms:
+                    if atom[0] == "quad":
+                        quads += 1
+                        assert atom[1] % 2 == 1, (k, n, t, atom)
+    assert quads
 
 
 def test_inv_splits_the_numerator_into_unit_and_atoms():
