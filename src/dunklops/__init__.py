@@ -29,14 +29,14 @@ from .errors import (AlgebraError, CoeffError, DunklopsError, FieldError,
                      OracleError, ParseError, ScalarInversionError)
 from .cyclofield import (DEFAULT_MAX_K, CycloScalar, FieldCtx, ctx_new,
                          max_k_ceiling)
-from .coeffring import Coefficient, ZRat, cot_k, trig
+from .coeffring import Coefficient, ZRat, trig
 from .opalgebra import (OpExpr, anticommutator, commutator, op_I, op_R,
                         op_coeff, op_dphi, op_dr, op_one, op_param,
-                        op_product, op_r, op_scalar, op_sum, op_zero)
+                        op_product, op_r, op_sum, op_zero)
 from .builders import (MUTATIONS, OPERATORS, Mutation, build_counterterm,
                        build_Dphi, build_Dphi_squared_expanded, build_Dr,
-                       build_extended_Hk, build_Hk, build_I, build_R,
-                       build_reflection_tail, build_S, build_Xk)
+                       build_extended_Hk, build_Hk, build_reflection_tail,
+                       build_S, build_Xk)
 from .identities import (CHECK_IDS, DEFAULT_CHECK_IDS, DEFAULT_SEED,
                          CheckReport, applicable, check, run_check, run_suite,
                          shadow_reports)
@@ -64,14 +64,13 @@ __all__ = [
     "AlgebraError", "CoeffError", "DunklopsError", "FieldError",
     "OracleError", "ParseError", "ScalarInversionError",
     "DEFAULT_MAX_K", "CycloScalar", "FieldCtx", "ctx_new", "max_k_ceiling",
-    "Coefficient", "ZRat", "cot_k", "trig",
+    "Coefficient", "ZRat", "trig",
     "OpExpr", "anticommutator", "commutator", "op_I", "op_R", "op_coeff",
     "op_dphi", "op_dr", "op_one", "op_param", "op_product", "op_r",
-    "op_scalar", "op_sum", "op_zero",
+    "op_sum", "op_zero",
     "MUTATIONS", "OPERATORS", "Mutation", "build_counterterm", "build_Dphi",
     "build_Dphi_squared_expanded", "build_Dr", "build_extended_Hk",
-    "build_Hk", "build_I", "build_R", "build_reflection_tail", "build_S",
-    "build_Xk",
+    "build_Hk", "build_reflection_tail", "build_S", "build_Xk",
     "CHECK_IDS", "DEFAULT_CHECK_IDS", "CheckReport", "applicable", "check",
     "run_check", "run_suite", "shadow_reports",
     "DEFAULT_SEED", "OracleReport", "numeric_check", "numeric_check_spec",

@@ -38,7 +38,7 @@ from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
                         op_dphi, op_dr, op_one, op_sum, settle)
 
 __all__ = [
-    "build_R", "build_I", "build_S", "build_Dr", "build_Dphi",
+    "build_S", "build_Dr", "build_Dphi",
     "build_Hk", "build_Xk", "build_extended_Hk", "build_counterterm",
     "build_reflection_tail", "build_Dphi_squared_expanded",
     "explicit_k3_Dr", "explicit_k3_Dphi", "explicit_k3_Dphi_squared",
@@ -60,14 +60,6 @@ def _check_mutation(mutation) -> None:
 
 
 # -- group elements -----------------------------------------------------------
-
-
-def build_R(k, n: int = 1) -> OpExpr:
-    return op_R(_as_ctx(k), n)
-
-
-def build_I(k) -> OpExpr:
-    return op_I(_as_ctx(k))
 
 
 def build_S(k) -> OpExpr:
@@ -498,8 +490,8 @@ def explicit_k2_Dphi_squared() -> OpExpr:
 
 
 OPERATORS = {
-    "R": lambda ctx: build_R(ctx),
-    "I": build_I,
+    "R": op_R,
+    "I": op_I,
     "S": build_S,
     "Dr": build_Dr,
     "Dphi": build_Dphi,

@@ -32,7 +32,8 @@ from .builders import MUTATIONS, OPERATORS
 from .cyclofield import ctx_new, max_k_ceiling
 from .errors import DunklopsError, ParseError
 from .exprparse import parse_op, pretty
-from .identities import CHECK_IDS, DEFAULT_SEED, operator_set, run_suite
+from .identities import (CHECK_IDS, DEFAULT_SEED, MAX_TRIALS,
+                         operator_set, run_suite)
 from .opalgebra import commutator
 
 __all__ = ["main", "parse_k_list"]
@@ -108,6 +109,8 @@ def _emit(reports, args) -> None:
 def _check_numeric_flags(args) -> None:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError("--tol must be finite and positive")
 

@@ -651,7 +651,7 @@ class ZRat:
 
 TRIG_KINDS = (
     "tan_shift", "cot_shift", "sec2_shift", "csc2_shift",
-    "sec_k", "tan_k", "csc2_k", "sec2_k",
+    "sec_k", "tan_k", "cot_k", "csc2_k", "sec2_k",
     "half_sum_inv2", "half_diff_inv2",
 )
 
@@ -692,7 +692,7 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         else:  # csc2_shift
             factor_unit_binomial(ctx, 2, t_minus, atoms, mult=2)
             num = [zero, zero, ctx.scalar(-4) * c]
-    elif kind in ("sec_k", "tan_k", "sec2_k", "csc2_k"):
+    elif kind in ("sec_k", "tan_k", "cot_k", "sec2_k", "csc2_k"):
         if kind == "csc2_k":
             factor_unit_binomial(ctx, 2 * k, 0, atoms, mult=2)
             num = [zero] * (2 * k) + [ctx.scalar(-4)]
@@ -702,6 +702,9 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         elif kind == "sec_k":
             factor_unit_binomial(ctx, 2 * k, N // 2, atoms)
             num = [zero] * k + [ctx.scalar(2)]
+        elif kind == "cot_k":   # i (z^{2k}+1)/(z^{2k}-1)
+            factor_unit_binomial(ctx, 2 * k, 0, atoms)
+            num = [ii] + [zero] * (2 * k - 1) + [ii]
         else:  # tan_k = -i (z^{2k}-1)/(z^{2k}+1)
             factor_unit_binomial(ctx, 2 * k, N // 2, atoms)
             num = [ii] + [zero] * (2 * k - 1) + [-ii]
@@ -720,16 +723,6 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
     out = ZRat._make(ctx, [x.coeffs for x in num], atoms)
     ctx.trig_cache[key] = out
     return out
-
-
-def cot_k(ctx: FieldCtx) -> ZRat:
-    """cot(k phi), derived by inverting tan_k (numerator is atomizable)."""
-    key = ("cot_k", 0)
-    cached = ctx.trig_cache.get(key)
-    if cached is None:
-        cached = trig(ctx, "tan_k").inv()
-        ctx.trig_cache[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +744,6 @@ class Coefficient:
         self.ctx = ctx
         self.terms = terms
         self._hash = None
-
-    @staticmethod
-    def zero(ctx: FieldCtx) -> "Coefficient":
-        return Coefficient(ctx, {})
 
     @staticmethod
     def one(ctx: FieldCtx) -> "Coefficient":
@@ -871,10 +860,6 @@ class Coefficient:
 
     # -- comparison ----------------------------------------------------------------
 
-    def _canon(self):
-        return tuple(sorted(self.terms.items(),
-                            key=lambda kv: kv[0]))
-
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             o = self._coerce_scalarish(other)
@@ -885,7 +870,7 @@ class Coefficient:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx.N, self._canon()))
+            self._hash = hash((self.ctx.N, tuple(self.items())))
         return self._hash
 
     def __bool__(self):

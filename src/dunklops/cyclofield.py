@@ -105,8 +105,8 @@ class FieldCtx:
     operands to carry the *same* context object.
     """
 
-    def __init__(self, k: int, max_k: int | None = None):
-        _check_k(k, max_k)
+    def __init__(self, k: int):
+        _check_k(k)
         self.k = k
         self.N = math.lcm(4, 2 * k)
         phi = cyclotomic_poly(self.N)
@@ -223,34 +223,33 @@ class FieldCtx:
         return f"FieldCtx(k={self.k}, N={self.N}, deg={self.deg})"
 
 
-def _check_k(k, max_k: int | None) -> None:
+def _check_k(k) -> None:
     if not isinstance(k, int) or k < 1:
         raise FieldError(f"k must be a positive integer, got {k!r}")
-    if max_k is None:
-        max_k = max_k_ceiling()
+    max_k = max_k_ceiling()
     if k > max_k:
         raise FieldError(
             f"k={k} exceeds the configured ceiling max_k={max_k}"
         )
 
 
-def ctx_new(k: int, max_k: int | None = None) -> FieldCtx:
+def ctx_new(k: int) -> FieldCtx:
     """Create (or fetch the cached) field context for dihedral index k.
 
-    The ceiling ``max_k`` (default: ``max_k_ceiling()``) is checked on every
-    call; the context itself is cached by k alone, so every caller at the
-    same k shares one context.
+    The ceiling ``max_k_ceiling()`` is checked on every call; the context
+    itself is cached by k alone, so every caller at the same k shares one
+    context.
 
-    >>> ctx_new(3, 20) is ctx_new(3)
+    >>> ctx_new(3) is ctx_new(3)
     True
     """
-    _check_k(k, max_k)
+    _check_k(k)
     return _ctx_cached(k)
 
 
 @functools.lru_cache(maxsize=None)
 def _ctx_cached(k: int) -> FieldCtx:
-    return FieldCtx(k, max_k=k)
+    return FieldCtx(k)
 
 
 def _coord(c):
@@ -436,8 +435,3 @@ class CycloScalar:
                 else:
                     terms.append(f"{c}*zeta^{j}")
         return " + ".join(terms) if terms else "0"
-
-
-def numeric_embed(x: CycloScalar) -> complex:
-    """Embed a scalar into the complex numbers, zeta -> e^{2 pi i / N}."""
-    return complex(x)

@@ -52,8 +52,7 @@ from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import CoeffError, ParseError
 from .opalgebra import (OpExpr, deposit, op_I, op_R, op_coeff, op_dphi, op_dr,
-                        op_one, op_param, op_product, op_r, op_scalar,
-                        settle)
+                        op_one, op_param, op_product, op_r, settle)
 
 __all__ = ["parse", "elaborate", "parse_op", "pretty", "pretty_coefficient",
            "pretty_zrat"]
@@ -63,8 +62,19 @@ _TRIG_SUGAR = {
     "sec2": "sec2_shift", "csc2": "csc2_shift",
     "seck": "sec_k", "tank": "tan_k",
 }
-_NAMES = {"a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S"}
-_KEYWORDS = _NAMES | set(_TRIG_SUGAR) | {"phi", "pi", "k"}
+# name -> constructor of ctx; build_S is looked up per call, so a patch runs
+_NAMES = {
+    "a": lambda ctx: op_param(ctx, "a"),
+    "b": lambda ctx: op_param(ctx, "b"),
+    "w2": lambda ctx: op_param(ctx, "w2"),
+    "r": op_r,
+    "z": lambda ctx: op_coeff(ctx, ZRat.z_power(ctx, 1)),
+    "zeta": lambda ctx: op_coeff(ctx, ctx.root_power(1)),
+    "i": lambda ctx: op_coeff(ctx, ctx.imag_unit()),
+    "dr": op_dr, "dphi": op_dphi, "R": op_R, "I": op_I,
+    "S": lambda ctx: build_S(ctx),
+}
+_KEYWORDS = set(_NAMES) | set(_TRIG_SUGAR) | {"phi", "pi", "k"}
 
 # Nesting limit for parenthesized groups: parsing and elaboration recurse a
 # few frames per level, so deeper input would exhaust the interpreter's stack.
@@ -299,7 +309,7 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
             return base_op ** n
         return _invert_op(base_op, -n, pos, ctx)
     if kind == "rat":
-        return op_scalar(ctx, ast[1])
+        return op_coeff(ctx, ast[1])
     if kind == "trig":
         _, name, shift, pos = ast
         tkind = _TRIG_SUGAR[name]
@@ -312,29 +322,9 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
         return elaborate(ast[1], ctx)
     # names
     _, name, pos = ast
-    if name in ("a", "b", "w2"):
-        return op_param(ctx, name)
-    if name == "r":
-        return op_r(ctx, 1)
-    if name == "z":
-        return op_coeff(ctx, ZRat.z_power(ctx, 1))
-    if name == "zeta":
-        return op_scalar(ctx, ctx.root_power(1))
-    if name == "i":
-        return op_scalar(ctx, ctx.imag_unit())
-    if name == "dr":
-        return op_dr(ctx)
-    if name == "dphi":
-        return op_dphi(ctx)
-    if name == "R":
-        return op_R(ctx)
-    if name == "I":
-        return op_I(ctx)
-    if name == "S":
-        if ctx.k % 2:
-            raise ParseError("S needs an even k", pos)
-        return build_S(ctx)
-    raise ParseError(f"unknown name {name!r}", pos)  # pragma: no cover
+    if name == "S" and ctx.k % 2:
+        raise ParseError("S needs an even k", pos)
+    return _NAMES[name](ctx)
 
 
 def parse_op(text: str, ctx: FieldCtx) -> OpExpr:

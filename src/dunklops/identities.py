@@ -43,7 +43,7 @@ from .builders import (Assembly, OperatorSet, build_Dphi,
                        explicit_k2_Dphi_squared, explicit_k2_Dr,
                        explicit_k3_counterterm, explicit_k3_Dphi,
                        explicit_k3_Dphi_squared, explicit_k3_Dr)
-from .coeffring import ZRat, _deposit_product, _settle_dens, cot_k, trig
+from .coeffring import ZRat, _deposit_product, _settle_dens, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
 from .opalgebra import OpExpr, op_R, settle
@@ -53,6 +53,7 @@ __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
            "applicable", "operator_set", "OperatorSet"]
 
 DEFAULT_SEED = 20260815         # the oracle's sampling seed (re-exported there)
+MAX_TRIALS = 10_000             # the oracle's arrays grow with the trials
 
 
 class CheckReport(NamedTuple):
@@ -94,10 +95,9 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 # sum of chains).  The exact side takes a factor from OperatorSet.chain, so
 # (Dphi, Dphi) is the cached Dphi2 and an Assembly its cached sum; the oracle
 # applies a tuple's members one by one and an Assembly's chains.  A leaf is
-# a ``trig`` kind with its unreduced shift j, or ("cot_k", 0).  The exact
-# residual is sum(lhs) - sum(rhs), with sum(lhs) projected for
-# "ops-invariant".  iter_rows makes (row_id, residual_fn, numeric_fn) of
-# every row:
+# a ``trig`` kind with its unreduced shift j.  The exact residual is
+# sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".
+# iter_rows makes (row_id, residual_fn, numeric_fn) of every row:
 #   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
 #   numeric_fn()  -> (kind, lhs, rhs), with plain chains for operators
 
@@ -327,8 +327,7 @@ def _trig_residual(ctx: FieldCtx, spec) -> ZRat:
     one, slot = ZRat.const(ctx, 1), {}
     for sign, chains in ((1, lhs), (-1, rhs)):
         for weight, leaves in chains:
-            values = [one] + [cot_k(ctx) if kind == "cot_k"
-                              else trig(ctx, kind, j) for kind, j in leaves]
+            values = [one] + [trig(ctx, kind, j) for kind, j in leaves]
             _deposit_product(ctx, slot, (), reduce(mul, values[:-1], one),
                              values[-1], sign * weight)
     return _settle_dens(ctx, slot[()])

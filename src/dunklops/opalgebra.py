@@ -49,7 +49,7 @@ from .cyclofield import CycloScalar, FieldCtx, binary_power, ctx_new
 from .errors import AlgebraError, FieldError
 
 __all__ = [
-    "OpExpr", "op_zero", "op_one", "op_scalar", "op_coeff", "op_param",
+    "OpExpr", "op_zero", "op_one", "op_coeff", "op_param",
     "op_r", "op_dr", "op_dphi", "op_R", "op_I",
     "commutator", "anticommutator", "op_sum", "op_product",
     "accumulate", "deposit", "settle",
@@ -218,10 +218,6 @@ def op_zero(ctx: FieldCtx) -> OpExpr:
 
 def op_one(ctx: FieldCtx) -> OpExpr:
     return OpExpr(ctx, {(0, 0, 0, 0): Coefficient.one(ctx)})
-
-
-def op_scalar(ctx: FieldCtx, value) -> OpExpr:
-    return op_coeff(ctx, value)
 
 
 def op_coeff(ctx: FieldCtx, c) -> OpExpr:

@@ -62,7 +62,7 @@ import numpy as np
 from .coeffring import ATOM_Z
 from .cyclofield import CycloScalar, FieldCtx, ctx_new
 from .errors import OracleError
-from .identities import DEFAULT_SEED
+from .identities import DEFAULT_SEED, MAX_TRIALS
 from .opalgebra import OpExpr
 
 __all__ = ["OracleReport", "numeric_check", "numeric_check_spec",
@@ -438,6 +438,8 @@ def _run_trig(k, lhs, rhs, trials, tol, seed) -> OracleReport:
 def _check_run(trials: int, tol: float) -> None:
     if trials < 1:
         raise OracleError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise OracleError(f"trials must be at most {MAX_TRIALS}")
     # no deviation exceeds a NaN or infinite tolerance, so every run passes
     if not math.isfinite(tol):
         raise OracleError(f"tol must be finite, got {tol!r}")

@@ -4,8 +4,8 @@ import pytest
 
 from dunklops.builders import (MUTATIONS, OPERATORS, build_counterterm,
                                build_Dphi, build_Dphi_squared_expanded,
-                               build_Dr, build_extended_Hk, build_Hk, build_I,
-                               build_R, build_reflection_tail, build_S,
+                               build_Dr, build_extended_Hk, build_Hk,
+                               build_reflection_tail, build_S,
                                build_Xk, explicit_k2_counterterm,
                                explicit_k2_Dphi, explicit_k2_Dphi_squared,
                                explicit_k2_Dr, explicit_k3_counterterm,
@@ -141,8 +141,8 @@ def test_extension_keeps_the_chained_term_order(mutation):
 def test_builders_accept_ctx_or_k():
     ctx = ctx_new(3)
     assert build_Dr(ctx) == build_Dr(3)
-    assert build_R(ctx, 2) == build_R(3, 2)
-    assert build_I(ctx) == build_I(3)
+    assert build_Dphi(ctx) == build_Dphi(3)
+    assert build_S(ctx_new(4)) == build_S(4)
     with pytest.raises(FieldError):
         build_Dr(0)
 
@@ -190,7 +190,8 @@ def test_operator_registry_names_and_values():
     assert set(OPERATORS) == {"R", "I", "S", "Dr", "Dphi", "Hk", "Xk",
                               "HkExt", "HkExtViaDr"}
     ctx = ctx_new(4)
-    assert OPERATORS["R"](ctx) == build_R(4)
+    assert OPERATORS["R"](ctx) == op_R(ctx)
+    assert OPERATORS["I"](ctx) == op_I(ctx)
     assert OPERATORS["S"](ctx) == build_S(4)
     assert OPERATORS["Dr"](ctx) == build_Dr(4)
     assert OPERATORS["HkExt"](ctx) == build_extended_Hk(4, "via_Dphi")

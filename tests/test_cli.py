@@ -18,6 +18,7 @@ from dunklops import cli, identities
 from dunklops.builders import OPERATORS, build_Dphi
 from dunklops.cli import _resolve, main, parse_k_list
 from dunklops.cyclofield import ctx_new
+from dunklops.identities import MAX_TRIALS
 from dunklops.exprparse import pretty
 from dunklops.opalgebra import commutator
 
@@ -119,6 +120,19 @@ def test_verify_flag_validation(capsys):
         assert err.startswith("error:"), argv
     code, _, err = run_cli(capsys, "verify", "--k", "2", "--mutate", "bogus")
     assert code == 2                      # argparse rejects the choice
+
+
+def test_too_many_trials_exit_2(capsys):
+    """The oracle's arrays grow with --trials; both commands refuse a count
+    over MAX_TRIALS before running anything."""
+    over = str(MAX_TRIALS + 1)
+    for argv in (["verify", "--k", "2", "--suite", "dr_props", "--oracle",
+                  "--trials", over],
+                 ["oracle", "--k", "2", "dr", "dr", "--trials", over]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: --trials must be at most {MAX_TRIALS}\n", argv
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

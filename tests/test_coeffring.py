@@ -13,8 +13,8 @@ from dunklops import coeffring
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_degree, _atom_product, _divmod_atom,
                                 _zeta_times, _zp_add, _zp_deriv, _zp_mul,
-                                _zp_neg, _zp_shift, cot_k,
-                                factor_unit_binomial, trig)
+                                _zp_neg, _zp_shift, factor_unit_binomial,
+                                trig)
 from dunklops.cyclofield import CycloScalar, binary_power, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 
@@ -26,6 +26,7 @@ _REFS = {
     "csc2_shift": lambda k, j, p: 1 / math.sin(p + j * math.pi / k) ** 2,
     "sec_k": lambda k, j, p: 1 / math.cos(k * p),
     "tan_k": lambda k, j, p: math.tan(k * p),
+    "cot_k": lambda k, j, p: 1 / math.tan(k * p),
     "sec2_k": lambda k, j, p: 1 / math.cos(k * p) ** 2,
     "csc2_k": lambda k, j, p: 1 / math.sin(k * p) ** 2,
     "half_sum_inv2": lambda k, j, p: 1 / (1 + math.sin(k * p)),
@@ -55,12 +56,13 @@ def test_trig_constructors_match_float_trig():
                     assert abs(got.real - expect) < 1e-9 * max(1, abs(expect))
 
 
-def test_cot_k_matches_float():
-    for k in (1, 2, 3, 4):
-        f = cot_k(ctx_new(k))
-        for phi in _ANGLES:
-            expect = 1 / math.tan(k * phi)
-            assert abs(f.eval(zval(phi)) - expect) < 1e-9 * max(1, abs(expect))
+def test_cot_k_is_the_inverse_of_tan_k():
+    """cot(k phi), built as i (z^{2k}+1)/(z^{2k}-1), has the canonical data
+    of tan(k phi) inverted, down to the coordinate types."""
+    for k in range(1, 13):
+        ctx = ctx_new(k)
+        got, want = trig(ctx, "cot_k"), trig(ctx, "tan_k").inv()
+        assert got == want and _exact(got.num) == _exact(want.num)
 
 
 def test_half_angle_kinds_need_even_k():
@@ -81,7 +83,7 @@ def test_derivative_identities():
             assert trig(ctx, "tan_shift", j).d_phi() == trig(ctx, "sec2_shift", j)
             assert trig(ctx, "cot_shift", j).d_phi() == -trig(ctx, "csc2_shift", j)
         assert trig(ctx, "tan_k").d_phi() == ctx.scalar(k) * trig(ctx, "sec2_k")
-        assert cot_k(ctx).d_phi() == -ctx.scalar(k) * trig(ctx, "csc2_k")
+        assert trig(ctx, "cot_k").d_phi() == -ctx.scalar(k) * trig(ctx, "csc2_k")
 
 
 def test_derivative_matches_central_difference():
@@ -655,7 +657,7 @@ def test_every_product_is_the_general_product(k, data):
     joint denominator reduced by all its atoms, down to the coordinate
     types, and y * x is the same."""
     ctx = ctx_new(k)
-    pool = (_leaves(ctx, data) + _constants(ctx) + [cot_k(ctx)]
+    pool = (_leaves(ctx, data) + _constants(ctx) + [trig(ctx, "cot_k")]
             + [ZRat.z_power(ctx, m) for m in (1, 2, 3)])
     for _ in range(4):
         x, y = (data.draw(st.sampled_from(pool)) for _ in range(2))
@@ -671,7 +673,7 @@ def test_a_power_is_the_square_and_multiply_product(k, data):
     of x (or of its inverse) down to the coordinate types, also for bases
     with repeated atoms and for the zero power."""
     ctx = ctx_new(k)
-    pool = (_leaves(ctx, data) + _constants(ctx) + [cot_k(ctx)]
+    pool = (_leaves(ctx, data) + _constants(ctx) + [trig(ctx, "cot_k")]
             + [_draw_zrat(data, ctx, [1, 2])])
     x = data.draw(st.sampled_from(pool))
     n = data.draw(st.integers(-6, 6))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dunklops._rat import RAT
 from dunklops.cyclofield import (CycloScalar, FieldCtx, ctx_new,
-                                 cyclotomic_poly, numeric_embed)
+                                 cyclotomic_poly)
 from dunklops.errors import FieldError, ScalarInversionError
 
 ALL_K = range(1, 13)
@@ -58,7 +58,8 @@ def test_context_basics():
         assert ctx.root_power(ctx.N) == ctx.one()
 
 
-def test_bad_k_rejected():
+def test_bad_k_rejected(monkeypatch):
+    monkeypatch.delenv("DUNKLOPS_MAX_K", raising=False)
     with pytest.raises(FieldError):
         FieldCtx(0)
     with pytest.raises(FieldError):
@@ -67,7 +68,8 @@ def test_bad_k_rejected():
         FieldCtx("3")
     with pytest.raises(FieldError):
         FieldCtx(13)            # above the default ceiling
-    assert FieldCtx(13, max_k=13).k == 13
+    monkeypatch.setenv("DUNKLOPS_MAX_K", "13")
+    assert FieldCtx(13).k == 13
 
 
 def test_max_k_env_override(monkeypatch):
@@ -82,20 +84,23 @@ def test_max_k_env_override(monkeypatch):
 def test_ctx_new_is_keyed_by_k_alone(monkeypatch):
     from dunklops.builders import build_Dr
     from dunklops.opalgebra import op_dr
-    assert ctx_new(3, 20) is ctx_new(3)
-    assert ctx_new(3, max_k=3) is ctx_new(3)
-    op_dr(ctx_new(3, 20)) + build_Dr(3)     # one context: no FieldError
+    monkeypatch.delenv("DUNKLOPS_MAX_K", raising=False)
+    three, four = ctx_new(3), ctx_new(4)
+    # the same context under any ceiling that admits k
+    monkeypatch.setenv("DUNKLOPS_MAX_K", "20")
+    assert ctx_new(3) is three
+    op_dr(ctx_new(3)) + build_Dr(3)         # one context: no FieldError
+    monkeypatch.setenv("DUNKLOPS_MAX_K", "3")
+    assert ctx_new(3) is three
+    # the ceiling is read on every call, not only when a context is built
     with pytest.raises(FieldError):
-        ctx_new(5, max_k=4)
+        ctx_new(4)
+    monkeypatch.delenv("DUNKLOPS_MAX_K")
+    assert ctx_new(4) is four
     with pytest.raises(FieldError):
         ctx_new(13)                         # above the default ceiling
     with pytest.raises(FieldError):
         ctx_new(0)
-    # the ceiling is read on every call, not only when a context is built
-    monkeypatch.setenv("DUNKLOPS_MAX_K", "3")
-    assert ctx_new(3).k == 3
-    with pytest.raises(FieldError):
-        ctx_new(4)
 
 
 def test_field_axioms_every_k():
@@ -175,8 +180,8 @@ def test_conj_matches_numeric_conjugation():
         ctx = ctx_new(k)
         for _ in range(20):
             x = rand_scalar(ctx, rng, span=8)
-            lhs = numeric_embed(x.conj())
-            rhs = numeric_embed(x).conjugate()
+            lhs = complex(x.conj())
+            rhs = complex(x).conjugate()
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

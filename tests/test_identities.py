@@ -5,7 +5,7 @@ import pytest
 from dunklops import identities
 from dunklops._rat import RAT
 from dunklops.builders import MUTATIONS
-from dunklops.coeffring import ZRat, _den_tuple, cot_k, trig
+from dunklops.coeffring import ZRat, _den_tuple, trig
 from dunklops.errors import AlgebraError
 from dunklops.identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
                                  applicable, check, iter_rows, operator_set,
@@ -306,7 +306,8 @@ def _reference_trig(ctx, check_id, row_id):
         shift, target, p = _SHIFTED_SUMS[check_id]
         for i in range(k):
             total = total + trig(ctx, shift, i)
-        rhs = ctx.scalar(k ** p) * (cot_k(ctx) if target == "cot_k"
+        rhs = ctx.scalar(k ** p) * (trig(ctx, "tan_k").inv()
+                                    if target == "cot_k"
                                     else trig(ctx, target))
     elif check_id == "trig_half_angle":
         total = trig(ctx, "half_diff_inv2") + trig(ctx, "half_sum_inv2")

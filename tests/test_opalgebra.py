@@ -16,8 +16,8 @@ from dunklops.errors import AlgebraError, FieldError
 from dunklops.exprparse import parse_op
 from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
                                 commutator, op_I, op_R, op_coeff, op_dphi,
-                                op_dr, op_one, op_param, op_r, op_scalar,
-                                op_sum, op_zero, settle)
+                                op_dr, op_one, op_param, op_r, op_sum,
+                                op_zero, settle)
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -94,7 +94,7 @@ def test_zero_one_and_coercion():
     assert RAT(1, 2) * (x + x) == x
     assert x + 1 == x + op_one(ctx)
     assert 1 - x == op_one(ctx) - x
-    assert op_scalar(ctx, 5) == 5 * op_one(ctx)
+    assert op_coeff(ctx, 5) == 5 * op_one(ctx)
     assert op_sum(ctx, [x, 1, -x, RAT(1, 2)]) == RAT(3, 2) * op_one(ctx)
     with pytest.raises(TypeError):
         op_sum(ctx, [x, "dr"])
@@ -188,7 +188,7 @@ def test_adjoint_generator_table():
                   op_coeff(ctx, trig(ctx, "tan_k"))):
             assert c.adjoint() == c
         # scalars conjugate
-        ii = op_scalar(ctx, ctx.imag_unit())
+        ii = op_coeff(ctx, ctx.imag_unit())
         assert ii.adjoint() == -ii
 
 
@@ -235,7 +235,7 @@ def _atom_pool(ctx):
         op_param(ctx, "a"),
         op_coeff(ctx, trig(ctx, "tan_shift", 0)),
         op_coeff(ctx, trig(ctx, "csc2_shift", 0)),
-        op_scalar(ctx, ctx.imag_unit()),
+        op_coeff(ctx, ctx.imag_unit()),
         op_r(ctx, 2) * op_param(ctx, "w2"),
     ]
 

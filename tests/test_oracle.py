@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from dunklops import oracle
-from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk, build_R
-from dunklops.coeffring import ZRat, cot_k, trig
+from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk
+from dunklops.coeffring import ZRat, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
-from dunklops.identities import (OperatorSet, iter_rows, operator_set,
-                                 shadow_reports)
+from dunklops.identities import (MAX_TRIALS, OperatorSet, iter_rows,
+                                 operator_set, shadow_reports)
 from dunklops.opalgebra import (commutator, op_coeff, op_I, op_param, op_R,
                                 op_dphi, op_dr)
 from dunklops.oracle import (DEFAULT_SEED, _Batch, _apply, _chain_value,
@@ -64,7 +64,7 @@ def test_angular_derivative_multiplies_fourier_modes():
 def test_full_rotation_is_the_identity():
     for k in (2, 3):
         batch = draw(8, 4, k)
-        assert rel_close(_chain_value(1, [build_R(k, 2 * k)], batch),
+        assert rel_close(_chain_value(1, [op_R(ctx_new(k), 2 * k)], batch),
                          closed_form(batch))
 
 
@@ -160,6 +160,25 @@ def test_argument_validation():
         numeric_check_spec(("trig", [(1, [("nonsense", 0)])], []), 2)
 
 
+def test_too_many_trials_are_refused_before_any_draw(monkeypatch):
+    """The batch arrays grow with the trial count, so a count over
+    MAX_TRIALS is refused before either runner draws a sample."""
+    def runner(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(oracle, "_run_ops", runner)
+    monkeypatch.setattr(oracle, "_run_trig", runner)
+    ctx, over = ctx_new(2), MAX_TRIALS + 1
+    with pytest.raises(OracleError, match=f"at most {MAX_TRIALS}"):
+        numeric_check(op_R(ctx), op_R(ctx), trials=over)
+    with pytest.raises(OracleError, match=f"at most {MAX_TRIALS}"):
+        numeric_check_spec(("ops", [(1, [op_R(ctx)])], [(1, [op_R(ctx)])]),
+                           2, trials=over)
+    with pytest.raises(OracleError, match=f"at most {MAX_TRIALS}"):
+        numeric_check_spec(("trig", [(1, [("tan_shift", 0)])],
+                            [(1, [("tan_shift", 0)])]), 2, trials=over)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
 def test_non_finite_tolerance_is_refused(tol):
     ctx = ctx_new(2)
@@ -211,7 +230,7 @@ def test_chain_composition_matches_product():
 
 
 def test_invariant_sampling_mode():
-    r_op = build_R(3)
+    r_op = op_R(ctx_new(3))
     pass_spec = ("ops-invariant", [(1, [r_op])], [(1, [])])
     assert numeric_check_spec(pass_spec, 3, trials=30).status == "pass"
     # the same claim on generic test functions is false
@@ -239,7 +258,7 @@ def test_trig_closed_forms_match_the_exact_atoms(k):
         if kind.startswith("half_") and k % 2:
             continue                             # even k only
         for j in range(3 * k + 1) if shifted else [0]:
-            exact = cot_k(ctx) if kind == "cot_k" else trig(ctx, kind, j)
+            exact = trig(ctx, kind, j)
             want = np.array([exact.eval(complex(v)) for v in z])
             got = oracle._trig_sum([(1, [(kind, j)])], k, phi)
             rel = np.abs(got - want) / np.abs(want)

@@ -1,8 +1,12 @@
 """The package's public surface: its exports and the README's examples."""
 
 import doctest
+import importlib
 import pathlib
+import pkgutil
 import re
+
+import pytest
 
 import dunklops
 
@@ -17,6 +21,17 @@ def test_every_export_resolves_and_is_listed():
         getattr(dunklops, name)
         assert name in listed, name
     assert set(dunklops._ORACLE_NAMES) <= set(dunklops.__all__)
+
+
+@pytest.mark.parametrize("name", [info.name for info in
+                                  pkgutil.iter_modules(dunklops.__path__)])
+def test_every_submodule_export_resolves(name):
+    # perfbench's tracer calls getattr on every name in builders.__all__
+    module = importlib.import_module(f"dunklops.{name}")
+    exports = getattr(module, "__all__", [])
+    assert len(set(exports)) == len(exports), name
+    for attr in exports:
+        assert hasattr(module, attr), f"{name}.{attr}"
 
 
 def test_readme_pycon_blocks_run_in_order():
