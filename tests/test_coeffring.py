@@ -56,6 +56,14 @@ def test_trig_constructors_match_float_trig():
                     assert abs(got.real - expect) < 1e-9 * max(1, abs(expect))
 
 
+def test_cot_k_matches_float():
+    for k in (1, 2, 3, 4):
+        f = trig(ctx_new(k), "cot_k")
+        for phi in _ANGLES:
+            expect = 1 / math.tan(k * phi)
+            assert abs(f.eval(zval(phi)) - expect) < 1e-9 * max(1, abs(expect))
+
+
 def test_cot_k_is_the_inverse_of_tan_k():
     """cot(k phi), built as i (z^{2k}+1)/(z^{2k}-1), has the canonical data
     of tan(k phi) inverted, down to the coordinate types."""
