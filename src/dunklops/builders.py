@@ -34,8 +34,9 @@ from functools import cached_property
 from .coeffring import Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
-from .opalgebra import (OpExpr, accumulate, deposit, op_I, op_R, op_coeff,
-                        op_dphi, op_dr, op_one, op_sum, settle)
+from .opalgebra import (OpExpr, deposit, deposit_product, op_I, op_R,
+                        op_coeff, op_dphi, op_dr, op_one, op_product, op_sum,
+                        settle)
 
 __all__ = [
     "build_S", "build_Dr", "build_Dphi",
@@ -285,30 +286,20 @@ class OperatorSet:
     def Dphi2(self) -> OpExpr:
         return self.Dphi * self.Dphi
 
-    def chain(self, factors) -> OpExpr:
-        """The product of a chain, left to right.  A tuple factor is a
-        sub-product, (Dphi, Dphi) the cached Dphi2; an Assembly is the sum
-        its member caches."""
-        total = None
-        for f in factors:
+    def deposit_chain(self, acc: dict, chain, weight: int = 1,
+                      project: bool = False) -> dict:
+        """acc += weight * the product of ``chain``, by ``deposit_product``.
+        An Assembly factor is the sum its member caches, (Dphi, Dphi) the
+        cached Dphi2, another tuple a sub-product; an empty chain is one."""
+        factors = []
+        for f in chain:
             if isinstance(f, Assembly):
                 f = getattr(self, f.name)
             elif isinstance(f, tuple):
                 f = (self.Dphi2 if f == (self.Dphi, self.Dphi)
-                     else self.chain(f))
-            total = f if total is None else total * f
-        return self.one if total is None else total
-
-    def deposit_chain(self, acc: dict, chain, weight: int = 1,
-                      project: bool = False) -> dict:
-        """acc += weight * the product of ``chain``.  The factors but the
-        last are multiplied out by ``self.chain``; the last product goes
-        into the accumulator, where the parts the chains share cancel."""
-        last = self.chain(chain[-1:])
-        if len(chain) > 1:
-            return accumulate(acc, self.chain(chain[:-1]), last, weight,
-                              project)
-        return deposit(acc, last, weight, project)
+                     else op_product(self.ctx, f))
+            factors.append(f)
+        return deposit_product(acc, factors or [self.one], weight, project)
 
     def assemble(self, assembly: Assembly) -> OpExpr:
         """The sum an Assembly states, each stage settled before the next."""

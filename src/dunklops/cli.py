@@ -39,8 +39,9 @@ from .opalgebra import commutator
 __all__ = ["main", "parse_k_list"]
 
 
-def parse_k_list(text: str, max_k: int) -> list:
-    """Expand "3", "1,3,5" or "1..6" into a validated list of k values."""
+def parse_k_list(text: str) -> list:
+    """Expand "3", "1,3,5" or "1..6" into k values up to max_k_ceiling()."""
+    max_k = max_k_ceiling()
     text = text.strip()
     try:
         if ".." in text:
@@ -148,7 +149,7 @@ def cmd_verify(args) -> int:
         _check_suite_patterns(args.suite)
     if args.out:
         _check_out_path(args.out)
-    ks = parse_k_list(args.k, max_k_ceiling())
+    ks = parse_k_list(args.k)
     reports = run_suite(
         ks, suite_filter=args.suite, mutation=args.mutate,
         include_optional=bool(args.suite), oracle=args.oracle,
@@ -165,7 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def _single_k(args) -> int:
-    ks = parse_k_list(args.k, max_k_ceiling())
+    ks = parse_k_list(args.k)
     if len(ks) != 1:
         raise ValueError("this command wants exactly one k")
     return ks[0]

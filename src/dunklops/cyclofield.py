@@ -269,16 +269,16 @@ def canon_row(row) -> tuple:
 
 
 def binary_power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, with ``one`` the identity;
-    the base is not squared after the last bit."""
-    result = one
+    """base ** n for n >= 0 by square-and-multiply: ``one`` is returned for
+    n = 0 and never multiplied, nor is the base squared after the last bit."""
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 class CycloScalar:

@@ -51,8 +51,8 @@ from .builders import build_S
 from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import CoeffError, ParseError
-from .opalgebra import (OpExpr, deposit, op_I, op_R, op_coeff, op_dphi, op_dr,
-                        op_one, op_param, op_product, op_r, settle)
+from .opalgebra import (OpExpr, deposit_product, op_I, op_R, op_coeff,
+                        op_dphi, op_dr, op_one, op_param, op_r, settle)
 
 __all__ = ["parse", "elaborate", "parse_op", "pretty", "pretty_coefficient",
            "pretty_zrat"]
@@ -295,13 +295,11 @@ def _invert_op(op: OpExpr, n: int, pos: int, ctx) -> OpExpr:
 def elaborate(ast, ctx: FieldCtx) -> OpExpr:
     """Evaluate an AST in the operator algebra over ``ctx``."""
     kind = ast[0]
-    if kind == "sum":
+    if kind == "sum":       # of "prod" terms, each filed by deposit_product
         acc: dict = {}
-        for sign, node in ast[1]:
-            deposit(acc, elaborate(node, ctx), sign)
+        for sign, (_, factors, _) in ast[1]:
+            deposit_product(acc, [elaborate(f, ctx) for f in factors], sign)
         return settle(ctx, acc)
-    if kind == "prod":
-        return op_product(ctx, [elaborate(node, ctx) for node in ast[1]])
     if kind == "pow":
         _, base, n, pos = ast
         base_op = elaborate(base, ctx)

@@ -8,9 +8,9 @@ every row becomes its own CheckReport with a ``base[row]`` id.
 
 Every row states its identity once, as weighted chains (lhs, rhs), and
 both witnesses read that one statement.  An operator row's exact
-residual is sum(lhs) - sum(rhs) computed with the symbolic product (the last
-product of every chain goes into one ``opalgebra.accumulate``, so the parts
-the chains share cancel as numerators over their common denominators); the
+residual is sum(lhs) - sum(rhs) computed with the symbolic product (each
+chain goes into one accumulator by ``opalgebra.deposit_product``, so the
+parts the chains share cancel as numerators over common denominators); the
 oracle module applies the same chains factor by factor to random test
 functions, so the numeric witness never relies on the product routine it is
 shadowing.  A trigonometric row's chains are products of leaves such as
@@ -92,8 +92,8 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 #                        functions; lhs/rhs: list[(int, [factor, ...])]
 #     ("trig", lhs, rhs) lhs/rhs: list[(int, [(leaf_kind, j), ...])]
 # A factor is an OpExpr, a tuple of them (a sub-product) or an Assembly (a
-# sum of chains).  The exact side takes a factor from OperatorSet.chain, so
-# (Dphi, Dphi) is the cached Dphi2 and an Assembly its cached sum; the oracle
+# sum of chains).  OperatorSet.deposit_chain files (Dphi, Dphi) as the
+# cached Dphi2 and an Assembly as its cached sum; the oracle
 # applies a tuple's members one by one and an Assembly's chains.  A leaf is
 # a ``trig`` kind with its unreduced shift j.  The exact residual is
 # sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".

@@ -14,10 +14,10 @@ Every sum and product is a multiply-accumulate: ``deposit`` and
 ``accumulate`` file the parts of x + y and x * y under their operator keys in
 a ``coeffring`` accumulator, and ``settle`` reduces each same-denominator
 group once, then adds the distinct denominators.  ``+``, ``op_sum`` and the
-sums of products (``commutator``, ``anticommutator``, the suite's residuals)
-put every part into one accumulator, so parts that cancel do so before any
-cross-denominator sum.  This module keeps the operator keys, the group moves
-and the Leibniz grid.
+sums of products (``commutator``, ``anticommutator``, and ``deposit_product``
+for the suite's chains and the grammar's sums) put every part into one
+accumulator, so parts that cancel do so before any cross-denominator sum.
+This module keeps the operator keys, the group moves and the Leibniz grid.
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -40,7 +40,9 @@ True
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
+from operator import mul
 
 from ._rat import RAT
 from .coeffring import (Coefficient, ZRat, _deposit_coefficient,
@@ -52,7 +54,7 @@ __all__ = [
     "OpExpr", "op_zero", "op_one", "op_coeff", "op_param",
     "op_r", "op_dr", "op_dphi", "op_R", "op_I",
     "commutator", "anticommutator", "op_sum", "op_product",
-    "accumulate", "deposit", "settle",
+    "accumulate", "deposit", "deposit_product", "settle",
 ]
 
 
@@ -349,6 +351,16 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
     return acc
 
 
+def deposit_product(acc: dict, factors, weight: int = 1,
+                    project: bool = False) -> dict:
+    """acc += weight * the product of ``factors``, left to right: the factors
+    but the last are multiplied, and the last product is accumulated."""
+    *head, last = factors
+    if not head:
+        return deposit(acc, last, weight, project)
+    return accumulate(acc, reduce(mul, head), last, weight, project)
+
+
 def settle(ctx: FieldCtx, acc: dict) -> OpExpr:
     """The operator an accumulator holds, in canonical form."""
     out = {}
@@ -388,7 +400,5 @@ def op_sum(ctx: FieldCtx, parts) -> OpExpr:
 
 
 def op_product(ctx: FieldCtx, factors) -> OpExpr:
-    total = op_one(ctx)
-    for factor in factors:
-        total = total * factor
-    return total
+    """The product of ``factors``, left to right; ``op_one`` for none."""
+    return settle(ctx, deposit_product({}, list(factors) or [op_one(ctx)]))

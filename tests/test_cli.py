@@ -201,26 +201,31 @@ def test_k_ceiling_message(capsys):
     assert "DUNKLOPS_MAX_K" in err
 
 
-def test_k_parsing_unit():
-    assert parse_k_list("3", 12) == [3]
-    assert parse_k_list("1,3,5", 12) == [1, 3, 5]
-    assert parse_k_list("1..4", 12) == [1, 2, 3, 4]
+def test_k_parsing_unit(monkeypatch):
+    monkeypatch.delenv("DUNKLOPS_MAX_K", raising=False)     # the default, 12
+    assert parse_k_list("3") == [3]
+    assert parse_k_list("1,3,5") == [1, 3, 5]
+    assert parse_k_list("1..4") == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        parse_k_list("x", 12)
+        parse_k_list("x")
     with pytest.raises(ValueError):
-        parse_k_list("5..3", 12)
+        parse_k_list("5..3")
     with pytest.raises(ValueError):
-        parse_k_list("13", 12)
+        parse_k_list("13")
     with pytest.raises(ValueError):
-        parse_k_list("0", 12)
+        parse_k_list("0")
     # the first k out of range, in ascending order, is named
     with pytest.raises(ValueError, match=r"^k=13 outside \[1, 12\] "):
-        parse_k_list("1..20", 12)
+        parse_k_list("1..20")
     with pytest.raises(ValueError, match=r"^k=-3 outside "):
-        parse_k_list("-3..5", 12)
+        parse_k_list("-3..5")
     # a huge range is refused without being expanded
     with pytest.raises(ValueError, match=r"^k=13 outside "):
-        parse_k_list(f"1..{10**12}", 12)
+        parse_k_list(f"1..{10**12}")
+    # the ceiling is read on every call
+    monkeypatch.setenv("DUNKLOPS_MAX_K", "4")
+    with pytest.raises(ValueError, match=r"^k=5 outside \[1, 4\] "):
+        parse_k_list("3..5")
 
 
 def test_env_ceiling_override(capsys, monkeypatch):

@@ -14,8 +14,8 @@ from dunklops.cyclofield import ctx_new
 from dunklops.errors import ParseError
 from dunklops.exprparse import (elaborate, parse, parse_op, pretty,
                                 pretty_coefficient, pretty_zrat)
-from dunklops.opalgebra import (commutator, op_I, op_R, op_coeff, op_dphi,
-                                op_dr, op_one, op_param, op_r)
+from dunklops.opalgebra import (OpExpr, commutator, op_I, op_R, op_coeff,
+                                op_dphi, op_dr, op_one, op_param, op_r)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -125,6 +125,27 @@ def test_elaborate_separately():
     op = elaborate(ast, ctx)
     t = op_coeff(ctx, trig(ctx, "tan_k"))
     assert op == op_dphi(ctx) ** 2 - t * op_dphi(ctx)
+
+
+def test_a_sum_accumulates_the_last_product_of_each_term(monkeypatch):
+    """Each term's factors but the last are multiplied, and its last
+    product goes into the sum's one accumulator; a power never multiplies
+    by the identity."""
+    ctx = ctx_new(3)
+    a, b = op_param(ctx, "a"), op_param(ctx, "b")
+    want = (a * op_dphi(ctx) * op_R(ctx) - b * op_dr(ctx) * op_I(ctx)
+            + op_r(ctx))
+    products = []
+    mul = OpExpr.__mul__
+    monkeypatch.setattr(OpExpr, "__mul__",
+                        lambda x, y: products.append(1) or mul(x, y))
+    for text, count in (("a*dphi*R - b*dr*I + r", 2), ("dr^8", 3),
+                        ("dr^8*R", 3), ("R*dr^8 + 1", 3)):
+        products.clear()
+        got = parse_op(text, ctx)
+        assert len(products) == count, text
+    assert parse_op("a*dphi*R - b*dr*I + r", ctx) == want
+    assert got == op_R(ctx) * op_dr(ctx) ** 8 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
 from dunklops.exprparse import parse_op
 from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
-                                commutator, op_I, op_R, op_coeff, op_dphi,
-                                op_dr, op_one, op_param, op_r, op_sum,
-                                op_zero, settle)
+                                commutator, deposit_product, op_I, op_R,
+                                op_coeff, op_dphi, op_dr, op_one, op_param,
+                                op_product, op_r, op_sum, op_zero, settle)
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -434,6 +434,30 @@ def test_accumulator_matches_the_reference(k):
                            _ref_sum(ctx, [(-2, xy)], project=True))):
             assert got == want
             _assert_canonical_op(got)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_deposit_product_files_the_weighted_product(k):
+    rng = random.Random(2500 + k)
+    ctx = ctx_new(k)
+    pool = _pool_with_k_kinds(ctx)
+    for n in (1, 1, 2, 2, 3, 3, 4, 4):
+        factors = [_random_op(rng, ctx, pool) for _ in range(n)]
+        product = factors[0]
+        for f in factors[1:]:
+            product = _reference_product(product, f)
+        assert op_product(ctx, factors) == product
+        for weight, project in ((1, False), (-3, False), (2, True)):
+            got = settle(ctx, deposit_product({}, factors, weight, project))
+            assert got == _ref_sum(ctx, [(weight, product)], project), n
+            _assert_canonical_op(got)
+        # a second deposit into the same accumulator cancels the first
+        acc = deposit_product({}, factors, 2)
+        assert settle(ctx, deposit_product(acc, factors, -2)) == op_zero(ctx)
+    x = factors[0]
+    assert op_product(ctx, []) == op_one(ctx)
+    assert op_product(ctx, [x]) == x
+    assert op_product(ctx, (f for f in [x, x])) == x * x
 
 
 def _spec_rows(k, mutation):
