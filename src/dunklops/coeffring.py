@@ -64,6 +64,11 @@ oscillator frequency w2, with ZRat values:
 
     terms : (m, alpha, beta, gamma) -> ZRat     # r^m a^alpha b^beta w2^gamma
 
+Both are ``RingElement`` types: each gives its sum, product, negation, zero
+test and canonical data, and lifts a value of the level below (``ZRat.const``
+a scalar, ``Coefficient.monomial`` anything that lifts to a ``ZRat``); the
+operators and the context check come from the base.
+
 The dihedral actions and the angular derivation are methods on both levels:
 
     f.d_phi()     = i z f'(z)          (d/dphi through z = e^{i phi})
@@ -77,8 +82,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._rat import RAT
-from .cyclofield import CycloScalar, FieldCtx, binary_power, canon_row
-from .errors import CoeffError, FieldError, ScalarInversionError
+from .cyclofield import (CycloScalar, FieldCtx, RingElement, binary_power,
+                         canon_row)
+from .errors import CoeffError, ScalarInversionError
 
 # ---------------------------------------------------------------------------
 # dense polynomials over coordinate rows (low degree first, no trailing zeros)
@@ -330,10 +336,10 @@ def _cancel(ctx: FieldCtx, num, den) -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
-class ZRat:
+class ZRat(RingElement):
     """A rational function of z over Q(zeta_N), in canonical reduced form."""
 
-    __slots__ = ("ctx", "num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, ctx: FieldCtx, num: tuple, den: tuple):
         self.ctx = ctx
@@ -357,13 +363,11 @@ class ZRat:
         return ZRat(ctx, tuple(num), _den_tuple(den))
 
     @staticmethod
-    def from_poly(ctx: FieldCtx, coeffs: Iterable) -> "ZRat":
-        return ZRat._make(ctx, [ctx.scalar(c).coeffs for c in coeffs], {})
-
-    @staticmethod
     def const(ctx: FieldCtx, value) -> "ZRat":
-        c = ctx.scalar(value).coeffs
+        c = CycloScalar._lift(ctx, value).coeffs
         return ZRat(ctx, (c,) if any(c) else (), ())
+
+    _embed = const
 
     @staticmethod
     def z_power(ctx: FieldCtx, m: int) -> "ZRat":
@@ -377,6 +381,9 @@ class ZRat:
     def is_zero(self) -> bool:
         return not self.num
 
+    def _data(self) -> tuple:
+        return self.num, self.den
+
     def is_const(self) -> bool:
         """True if f does not depend on phi (zero included)."""
         return not self.den and len(self.num) < 2
@@ -386,20 +393,7 @@ class ZRat:
 
     # -- ring operations --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, ZRat):
-            if other.ctx is not self.ctx:
-                raise FieldError("mixed field contexts in ZRat arithmetic")
-            return other
-        if isinstance(other, CycloScalar) or isinstance(other, int) \
-                or type(other) is RAT:
-            return ZRat.const(self.ctx, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         if self.is_zero():
             return o
         if o.is_zero():
@@ -429,30 +423,13 @@ class ZRat:
         # higher power times other atoms, and that is nonzero mod the atom.
         return ZRat._make(ctx, num, lcm, tries)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __neg__(self):
         return ZRat(self.ctx, tuple(_zp_neg(self.num)), self.den)
 
     def _is_one(self) -> bool:
         return not self.den and self.num == (self.ctx.one().coeffs,)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         if self.is_zero() or o._is_one():
             return self
         if o.is_zero() or self._is_one():
@@ -461,8 +438,6 @@ class ZRat:
         monos: dict = {}
         _deposit_product(self.ctx, monos, (), self, o, 1)
         return _settle_dens(self.ctx, monos[()])
-
-    __rmul__ = __mul__
 
     def inv(self) -> "ZRat":
         if self.is_zero():
@@ -479,15 +454,11 @@ class ZRat:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is None else self * o.inv()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -602,40 +573,6 @@ class ZRat:
         # -i z e_a N a' A/a, a product of factors prime to a.
         return ZRat._make(ctx, num, den, [ATOM_Z] if ATOM_Z in den else [])
 
-    # -- evaluation / comparison ------------------------------------------------
-
-    def eval(self, zval: complex) -> complex:
-        ctx = self.ctx
-        acc = 0j
-        for c in reversed(self.num):
-            acc = acc * zval + complex(CycloScalar(ctx, c))
-        den = 1 + 0j
-        for atom, mult in self.den:
-            if atom == ATOM_Z:
-                base = zval
-            elif atom[0] == "lin":
-                base = zval - ctx.unit_embed(atom[1])
-            else:
-                base = zval * zval - ctx.unit_embed(atom[1])
-            den *= base ** mult
-        return acc / den
-
-    def __eq__(self, other):
-        if isinstance(other, (int, CycloScalar)) or type(other) is RAT:
-            other = ZRat.const(self.ctx, other)
-        if not isinstance(other, ZRat):
-            return NotImplemented
-        return (self.ctx is other.ctx and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx.N, self.num, self.den))
-        return self._hash
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         num = " + ".join(f"({CycloScalar(self.ctx, c)!r})z^{j}"
                          for j, c in enumerate(self.num) if any(c)) or "0"
@@ -730,7 +667,7 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
 # ---------------------------------------------------------------------------
 
 
-class Coefficient:
+class Coefficient(RingElement):
     """Operator coefficient c(r, phi; a, b, w2).
 
     Immutable mapping (m, alpha, beta, gamma) -> ZRat.  The builders only ever
@@ -738,7 +675,7 @@ class Coefficient:
     operators (checked in tests), not an enforced bound.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, ctx: FieldCtx, terms: dict):
         self.ctx = ctx
@@ -750,75 +687,37 @@ class Coefficient:
         return Coefficient(ctx, {(0, 0, 0, 0): ZRat.const(ctx, 1)})
 
     @staticmethod
-    def monomial(ctx: FieldCtx, zr=None, m: int = 0, a: int = 0, b: int = 0,
+    def monomial(ctx: FieldCtx, zr=1, m: int = 0, a: int = 0, b: int = 0,
                  w2: int = 0) -> "Coefficient":
-        if zr is None:
-            zr = ZRat.const(ctx, 1)
-        elif not isinstance(zr, ZRat):
-            zr = ZRat.const(ctx, zr)
-        if zr.is_zero():
-            return Coefficient(ctx, {})
-        return Coefficient(ctx, {(m, a, b, w2): zr})
+        """zr r^m a^a b^b w2^w2, for zr anything that lifts to a ZRat."""
+        zr = ZRat._lift(ctx, zr)
+        return Coefficient(ctx, {(m, a, b, w2): zr} if zr.num else {})
+
+    _embed = monomial
 
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _data(self) -> frozenset:
+        return frozenset(self.terms.items())
+
     def items(self):
         return sorted(self.terms.items())
 
-    def degrees(self) -> dict:
-        """Max exponents appearing, for the structural bound checks."""
-        out = {"m_min": 0, "m_max": 0, "a": 0, "b": 0, "w2": 0}
-        for (m, a, b, g) in self.terms:
-            out["m_min"] = min(out["m_min"], m)
-            out["m_max"] = max(out["m_max"], m)
-            out["a"] = max(out["a"], a)
-            out["b"] = max(out["b"], b)
-            out["w2"] = max(out["w2"], g)
-        return out
-
     # -- ring operations ---------------------------------------------------------
 
-    def _coerce_scalarish(self, other):
-        if isinstance(other, Coefficient):
-            if other.ctx is not self.ctx:
-                raise FieldError("mixed field contexts in coefficients")
-            return other
-        if isinstance(other, ZRat):
-            return Coefficient.monomial(self.ctx, other)
-        if isinstance(other, CycloScalar) or isinstance(other, int) \
-                or type(other) is RAT:
-            return Coefficient.monomial(self.ctx, ZRat.const(self.ctx, other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce_scalarish(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return _settle_monos(self.ctx, _deposit_coefficient(
             _deposit_coefficient({}, self), o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce_scalarish(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
 
     def __neg__(self):
         return Coefficient(self.ctx, {k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other):
-        o = self._coerce_scalarish(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         return _settle_monos(self.ctx, _deposit_products(
             self.ctx, {}, self.terms, o.terms, 1))
-
-    __rmul__ = __mul__
 
     # -- actions ----------------------------------------------------------------
 
@@ -857,24 +756,6 @@ class Coefficient:
     def conj(self) -> "Coefficient":
         return Coefficient(self.ctx, {key: zr.conj()
                                       for key, zr in self.terms.items()})
-
-    # -- comparison ----------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Coefficient):
-            o = self._coerce_scalarish(other)
-            if o is None:
-                return NotImplemented
-            other = o
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx.N, tuple(self.items())))
-        return self._hash
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:

@@ -13,6 +13,11 @@ Q(zeta_N) is Galois over Q with group (Z/N)^*, sigma_j: zeta -> zeta^j, and
 sigma_{-1}.  Inversion multiplies the other conjugates and divides once, by
 the norm: 1/x = prod_{j != 1} sigma_j(x) / N(x).
 
+``RingElement`` states the ring protocol once for the package's four exact
+types, ``CycloScalar`` at the bottom and ``ZRat``, ``Coefficient`` and
+``OpExpr`` above it: the lifting chain down the tower, ``+``, ``-``, ``*``,
+their reflections, ``==``, ``hash`` and ``bool``.
+
     >>> ctx = ctx_new(3)                 # k = 3 -> N = 12, degree phi(12) = 4
     >>> ctx.N, ctx.deg
     (12, 4)
@@ -153,11 +158,7 @@ class FieldCtx:
 
     def scalar(self, value) -> "CycloScalar":
         """Lift an int / rational / CycloScalar into this field."""
-        if isinstance(value, CycloScalar):
-            if value.ctx is not self:
-                raise FieldError("scalar belongs to a different field context")
-            return value
-        return CycloScalar(self, (value,) + (0,) * (self.deg - 1))
+        return CycloScalar._lift(self, value)
 
     def root_power(self, j: int) -> "CycloScalar":
         """zeta^j (j taken mod N), reduced to the power basis.
@@ -281,7 +282,88 @@ def binary_power(base, n: int, one):
     return one if result is None else result
 
 
-class CycloScalar:
+class RingElement:
+    """The ring protocol every exact type of this package shares.
+
+    The types form a tower, each over the one before: ``CycloScalar`` in
+    Q(zeta_N), ``ZRat`` in Q(zeta_N)(z), ``Coefficient`` over ``ZRat`` and
+    ``OpExpr`` over ``Coefficient``.  Each supplies six pieces: ``_embed``
+    (a value of the level below, or an int or rational, as one of its own),
+    ``_add`` and ``_mul`` (with an element of its own type and context),
+    ``__neg__``, ``is_zero`` and ``_data`` (the hashable canonical data that
+    ``==`` compares).  This class derives the lifting chain, ``+``, ``-``,
+    ``*``, their reflections, ``==``, ``hash`` and ``bool`` from them, so a
+    constructor and an operator take and refuse the same inputs: a value of
+    another context raises FieldError, a foreign type (a float, a str)
+    TypeError in a constructor and NotImplemented in an operator.
+
+    ``x - y`` is ``x + (-y)``.  A reflected operand is lifted and keeps its
+    place in a product, ``c * x`` being ``lift(c) * x``, since operator
+    products do not commute; ``c + x`` is ``x + lift(c)``, ``x`` deposited
+    first.  Subtraction and the reflected product go through ``+`` and
+    ``*``, not ``_add`` and ``_mul``, so a wrapper on ``__add__`` or
+    ``__mul__`` sees every sum and product.
+    """
+
+    __slots__ = ("ctx", "_hash")
+
+    @classmethod
+    def _lift(cls, ctx: FieldCtx, x):
+        """x as an element of this type over ctx: an element of this type
+        must carry ctx, anything else goes down the tower."""
+        if isinstance(x, cls):
+            if x.ctx is not ctx:
+                raise FieldError(
+                    f"mixed field contexts in {cls.__name__} arithmetic")
+            return x
+        return cls._embed(ctx, x)
+
+    def _coerce(self, other):
+        """other lifted into this type and context; None if it is foreign."""
+        try:
+            return self._lift(self.ctx, other)
+        except TypeError:
+            return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._mul(o)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._data() == o._data()
+
+    def __hash__(self):
+        # keyed by the context object, which == requires to be the same:
+        # values of two contexts, even of one N (k = 1 and k = 2) or one k,
+        # must not meet in a hash bucket, where == would raise
+        if self._hash is None:
+            self._hash = hash((id(self.ctx), self._data()))
+        return self._hash
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
+class CycloScalar(RingElement):
     """An element of Q(zeta_N) on the power basis.  Immutable.
 
     Supports +, -, *, / with other scalars of the same context and with
@@ -293,23 +375,21 @@ class CycloScalar:
     and hashing are unaffected.
     """
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, ctx: FieldCtx, coeffs: tuple):
         self.ctx = ctx
         self.coeffs = canon_row(coeffs)
         self._hash = None
 
-    # -- helpers -------------------------------------------------------------
+    @staticmethod
+    def _embed(ctx: FieldCtx, x) -> "CycloScalar":
+        if isinstance(x, int) or type(x) is RAT:
+            return CycloScalar(ctx, (x,) + (0,) * (ctx.deg - 1))
+        raise TypeError(f"cannot lift a {type(x).__name__} into an exact ring")
 
-    def _coerce(self, other):
-        if isinstance(other, CycloScalar):
-            if other.ctx is not self.ctx:
-                raise FieldError("mixed field contexts in scalar arithmetic")
-            return other
-        if isinstance(other, int) or type(other) is RAT:
-            return self.ctx.scalar(other)
-        return None
+    def _data(self) -> tuple:
+        return self.coeffs
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -319,17 +399,13 @@ class CycloScalar:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return CycloScalar(
             self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
+        # its own subtraction, so that x - 1 is one scalar add
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -337,23 +413,12 @@ class CycloScalar:
             self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
         )
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return CycloScalar(self.ctx, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         return CycloScalar(self.ctx,
                            tuple(self.ctx.mul_rows(self.coeffs, o.coeffs)))
-
-    __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
         """1/x = prod_{j != 1} sigma_j(x) / N(x), over the units j mod N.
@@ -379,15 +444,11 @@ class CycloScalar:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is None else self * o.inv()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -400,22 +461,7 @@ class CycloScalar:
         return CycloScalar(self.ctx,
                            tuple(self.ctx.galois_row(-1, self.coeffs)))
 
-    # -- comparisons / embedding ---------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int,)) or type(other) is RAT:
-            other = self.ctx.scalar(other)
-        if not isinstance(other, CycloScalar):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx.N, self.coeffs))
-        return self._hash
-
-    def __bool__(self):
-        return not self.is_zero()
+    # -- embedding -----------------------------------------------------------
 
     def __complex__(self) -> complex:
         return sum(

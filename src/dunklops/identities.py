@@ -322,14 +322,15 @@ def applicable(check_id: str, k: int) -> bool:
 
 def _trig_residual(ctx: FieldCtx, spec) -> ZRat:
     """sum(lhs) - sum(rhs) of a trig spec: every leaf product goes into one
-    accumulator slot, which is settled once."""
+    accumulator slot, which is settled once.  A product starts at its first
+    leaf; a chain of no leaves is the constant 1."""
     _kind, lhs, rhs = spec
     one, slot = ZRat.const(ctx, 1), {}
     for sign, chains in ((1, lhs), (-1, rhs)):
         for weight, leaves in chains:
-            values = [one] + [trig(ctx, kind, j) for kind, j in leaves]
-            _deposit_product(ctx, slot, (), reduce(mul, values[:-1], one),
-                             values[-1], sign * weight)
+            *head, last = [trig(ctx, kind, j) for kind, j in leaves] or [one]
+            _deposit_product(ctx, slot, (), reduce(mul, head) if head else one,
+                             last, sign * weight)
     return _settle_dens(ctx, slot[()])
 
 

@@ -18,6 +18,10 @@ sums of products (``commutator``, ``anticommutator``, and ``deposit_product``
 for the suite's chains and the grammar's sums) put every part into one
 accumulator, so parts that cancel do so before any cross-denominator sum.
 This module keeps the operator keys, the group moves and the Leibniz grid.
+``OpExpr`` is the top of the ``RingElement`` tower: ``op_coeff`` lifts
+anything that lifts to a ``Coefficient``, and the operators come from the
+base, which keeps a reflected product in order (``c * x`` is
+``op_coeff(c) * x``).
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -44,10 +48,9 @@ from functools import reduce
 from math import comb
 from operator import mul
 
-from ._rat import RAT
 from .coeffring import (Coefficient, ZRat, _deposit_coefficient,
                         _deposit_products, _settle_monos)
-from .cyclofield import CycloScalar, FieldCtx, binary_power, ctx_new
+from .cyclofield import FieldCtx, RingElement, binary_power, ctx_new
 from .errors import AlgebraError, FieldError
 
 __all__ = [
@@ -58,20 +61,27 @@ __all__ = [
 ]
 
 
-class OpExpr:
+class OpExpr(RingElement):
     """A normal-ordered differential--difference operator."""
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, ctx: FieldCtx, terms: dict):
         self.ctx = ctx
         self.terms = terms
         self._hash = None
 
+    @staticmethod
+    def _embed(ctx: FieldCtx, c) -> "OpExpr":
+        return op_coeff(ctx, c)
+
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _data(self) -> frozenset:
+        return frozenset(self.terms.items())
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -86,56 +96,16 @@ class OpExpr:
         q = max((key[1] for key in self.terms), default=0)
         return p, q
 
-    # -- coercion ----------------------------------------------------------------
+    # -- ring operations -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, OpExpr):
-            if other.ctx is not self.ctx:
-                raise FieldError("mixed field contexts in operator arithmetic")
-            return other
-        if isinstance(other, (Coefficient, ZRat, CycloScalar, int)) \
-                or type(other) is RAT:
-            return op_coeff(self.ctx, other)
-        return None
-
-    # -- linear structure ---------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return settle(self.ctx, deposit(deposit({}, self), o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __neg__(self):
         return OpExpr(self.ctx, {key: -c for key, c in self.terms.items()})
 
-    # -- multiplication ------------------------------------------------------------
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         return settle(self.ctx, accumulate({}, self, o))
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -168,27 +138,6 @@ class OpExpr:
     def project_identity(self) -> "OpExpr":
         """Replace every R^i I^e by 1 (action on fully invariant functions)."""
         return settle(self.ctx, deposit({}, self, project=True))
-
-    # -- comparison --------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, OpExpr):
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            other = o
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.ctx.N,
-                 tuple(sorted((key, hash(c)) for key, c in self.terms.items())))
-            )
-        return self._hash
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:
@@ -223,13 +172,9 @@ def op_one(ctx: FieldCtx) -> OpExpr:
 
 
 def op_coeff(ctx: FieldCtx, c) -> OpExpr:
-    """Multiplication operator by a coefficient (or anything coercible)."""
-    if not isinstance(c, Coefficient):
-        c = Coefficient.monomial(ctx, c if isinstance(c, ZRat)
-                                 else ZRat.const(ctx, c))
-    if c.is_zero():
-        return OpExpr(ctx, {})
-    return OpExpr(ctx, {(0, 0, 0, 0): c})
+    """Multiplication operator by anything that lifts to a Coefficient."""
+    c = Coefficient._lift(ctx, c)
+    return OpExpr(ctx, {(0, 0, 0, 0): c} if c.terms else {})
 
 
 _PARAM_SLOT = {"a": 1, "b": 2, "w2": 3}
@@ -291,7 +236,7 @@ def accumulate(acc: dict, x: OpExpr, y: OpExpr, weight: int = 1,
     """acc += weight * x * y, normal-ordered with the Leibniz rule; with
     ``project`` every R^i I^e of the product is replaced by 1."""
     if y.ctx is not x.ctx:
-        raise FieldError("mixed field contexts in operator arithmetic")
+        raise FieldError("mixed field contexts in OpExpr arithmetic")
     if not weight:
         return acc
     ctx = x.ctx
@@ -389,13 +334,11 @@ def anticommutator(x: OpExpr, y: OpExpr) -> OpExpr:
 
 
 def op_sum(ctx: FieldCtx, parts) -> OpExpr:
-    """The sum of ``parts``, put into one accumulator and settled once."""
-    zero, acc = op_zero(ctx), {}
+    """The sum of ``parts``, each lifted to an operator, put into one
+    accumulator and settled once."""
+    acc = {}
     for part in parts:
-        o = zero._coerce(part)      # scalars coerce; a foreign ctx raises
-        if o is None:
-            raise TypeError(f"cannot add {type(part).__name__} to an operator")
-        deposit(acc, o)
+        deposit(acc, OpExpr._lift(ctx, part))
     return settle(ctx, acc)
 
 

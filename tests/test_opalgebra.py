@@ -18,6 +18,7 @@ from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
                                 commutator, deposit_product, op_I, op_R,
                                 op_coeff, op_dphi, op_dr, op_one, op_param,
                                 op_product, op_r, op_sum, op_zero, settle)
+from ring_helpers import zrat_from_poly
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -536,7 +537,7 @@ def test_product_reflects_each_right_coefficient_once(monkeypatch):
 
 
 def _poly(ctx, *coeffs):
-    return ZRat.from_poly(ctx, coeffs)
+    return zrat_from_poly(ctx, coeffs)
 
 
 def test_a_single_general_part_cancels_its_cross_atom():
