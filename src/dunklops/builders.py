@@ -1,7 +1,7 @@
 """Constructors for the dihedral Dunkl operators and the Hamiltonians.
 
 Every operator the verification suite talks about is built here, for any
-1 <= k <= max_k, with the odd/even branching in the angular operator:
+1 <= k <= DUNKLOPS_MAX_K, with the odd/even branching in the angular operator:
 
     build_Dr      radial operator  dr - (1/r)(a R + b)(sum_i R^{2i}) I
     build_Dphi    angular operator; odd k uses shifted tan/cot multipliers,

@@ -3,12 +3,12 @@
 Angle-dependent coefficients live in Q(zeta_N)(z) with z = e^{i phi}.  A
 ``ZRat`` keeps a dense polynomial numerator and a *factored* denominator whose
 factors ("atoms") are z, z - zeta^s, or the irreducible z^2 - zeta^s (s odd);
-every denominator that arises from the trigonometric constructors splits into
-such atoms, and keeping them factored lets reduction proceed by exact trial
-division instead of polynomial gcd.  The canonical form of a nonzero f is
-num/den with den the monic product of the atoms and gcd(num, den) = 1, that is,
-no atom of den divides num; zero is ()/1.  Every operation returns this form,
-and equality is literal equality of the canonical data.
+``_monic_atoms`` splits every denominator of the closed forms in ``trig``'s
+table into such atoms.  Keeping them factored lets reduction proceed by exact
+trial division instead of polynomial gcd.  The canonical form of a nonzero f
+is num/den with den the monic product of the atoms and gcd(num, den) = 1,
+that is, no atom of den divides num; zero is ()/1.  Every operation returns
+this form, and equality is literal equality of the canonical data.
 
 The atoms are pairwise coprime irreducibles and the operands are canonical, so
 most trial divisions can be shown in advance to fail and are not made (as in
@@ -176,13 +176,6 @@ def _zeta_times(ctx: FieldCtx, m: int, row) -> tuple:
 ATOM_Z = ("z",)
 
 
-def _atom_sort_key(atom):
-    if atom == ATOM_Z:
-        return (0, 0)
-    kind, s = atom
-    return (1 if kind == "lin" else 2, s)
-
-
 def _atom_degree(atom) -> int:
     return 2 if atom[0] == "quad" else 1
 
@@ -204,46 +197,6 @@ def _atom_product(ctx: FieldCtx, atoms) -> list:
             _add_zeta_times(ctx, acc, minus, row)
         rows = out
     return [tuple(row) for row in rows]
-
-
-def _add_atom(atoms: dict, atom, mult: int) -> None:
-    atoms[atom] = atoms.get(atom, 0) + mult
-
-
-def factor_unit_binomial(ctx: FieldCtx, n: int, t: int, atoms: dict,
-                         mult: int = 1) -> None:
-    """Factor z^n - zeta^t into atoms (requires n | N), accumulating in-place.
-
-    Every angular denominator in this package is a product of such binomials.
-    """
-    N = ctx.N
-    t %= N
-    if N % n != 0:
-        raise CoeffError(f"binomial degree {n} does not divide N={N}")
-    if n == 1:
-        _add_atom(atoms, ("lin", t), mult)
-        return
-    if t % n == 0:
-        # full set of n roots zeta^{t/n + j N/n}
-        s0 = t // n
-        step = N // n
-        for j in range(n):
-            _add_atom(atoms, ("lin", (s0 + j * step) % N), mult)
-        return
-    if n % 2 == 0:
-        # no roots in the field; substitute y = z^2 and lift y-linear factors.
-        # Each root zeta^s of y^(n/2) - zeta^t has s odd (t/(n/2) odd plus
-        # j*2N/n), so every lifted z^2 - zeta^s is irreducible.
-        sub: dict = {}
-        factor_unit_binomial(ctx, n // 2, t, sub, mult)
-        for atom, m in sub.items():
-            if atom[0] != "lin":
-                raise CoeffError(
-                    f"z^{n} - zeta^{t} needs factors of degree > 2"
-                )
-            _add_atom(atoms, ("quad", atom[1]), m)
-        return
-    raise CoeffError(f"z^{n} - zeta^{t} does not factor over the atom set")
 
 
 def _divmod_atom(ctx: FieldCtx, poly: list, atom):
@@ -304,7 +257,9 @@ def _monic_atoms(ctx: FieldCtx, work: list) -> dict:
 
 
 def _pair_sort_key(pair):
-    return _atom_sort_key(pair[0])
+    """z first, then the linear atoms, then the quadratic ones, each by s."""
+    atom = pair[0]
+    return (0, 0) if atom == ATOM_Z else (_atom_degree(atom), atom[1])
 
 
 def _den_tuple(den: dict) -> tuple:
@@ -368,6 +323,11 @@ class ZRat(RingElement):
         return ZRat(ctx, (c,) if any(c) else (), ())
 
     _embed = const
+
+    def _unembed(self):
+        if not self.is_const():
+            return None
+        return CycloScalar(self.ctx, self.num[0]) if self.num else 0
 
     @staticmethod
     def z_power(ctx: FieldCtx, m: int) -> "ZRat":
@@ -479,51 +439,37 @@ class ZRat(RingElement):
         n %= 2 * ctx.k
         if n == 0 or self.is_const():
             return self
-        step = ctx.rho_exp
+        turn = n * ctx.rho_exp
         den_deg = self.den_degree()
-        num = tuple(_zeta_times(ctx, n * step * (j - den_deg), row)
+        num = tuple(_zeta_times(ctx, turn * (j - den_deg), row)
                     for j, row in enumerate(self.num))
-        den = []
-        for atom, mult in self.den:
-            if atom == ATOM_Z:
-                den.append((atom, mult))
-            elif atom[0] == "lin":
-                den.append((("lin", (atom[1] - n * step) % ctx.N), mult))
-            else:
-                den.append((("quad", (atom[1] - 2 * n * step) % ctx.N), mult))
-        return ZRat(ctx, num, _den_tuple(dict(den)))
+        den = {atom if atom == ATOM_Z else
+               (atom[0], (atom[1] - _atom_degree(atom) * turn) % ctx.N): mult
+               for atom, mult in self.den}
+        return ZRat(ctx, num, _den_tuple(den))
 
     def reflect(self) -> "ZRat":
         """Substitute z -> 1/z.  Bijective on canonical forms."""
         if self.is_const():
             return self
         ctx = self.ctx
-        dn = len(self.num) - 1
-        rev = _zp_trim(list(reversed(self.num)))
-        sign = 0
-        zexp = 0
-        new_atoms: list = []
-        z_mult = 0
+        # z^d - zeta^s at 1/z is -zeta^s z^-d (z^d - zeta^-s)
+        sign = zexp = 0
+        den = {}
         for atom, mult in self.den:
-            if atom == ATOM_Z:
-                z_mult = mult
-            elif atom[0] == "lin":
+            if atom != ATOM_Z:
                 sign += mult
                 zexp += atom[1] * mult
-                new_atoms.append((("lin", (-atom[1]) % ctx.N), mult))
-            else:
-                sign += mult
-                zexp += atom[1] * mult
-                new_atoms.append((("quad", (-atom[1]) % ctx.N), mult))
-        e_shift = z_mult + sum(_atom_degree(a) * m for a, m in new_atoms) - dn
+                den[atom[0], (-atom[1]) % ctx.N] = mult
         # times the unit (-1)^sign zeta^-zexp, with -1 = zeta^(N/2)
         unit = -zexp + (ctx.N // 2 if sign % 2 else 0)
-        num = [_zeta_times(ctx, unit, row) for row in rev]
-        den = dict(new_atoms)
+        num = [_zeta_times(ctx, unit, row)
+               for row in _zp_trim(list(reversed(self.num)))]
+        e_shift = self.den_degree() - (len(self.num) - 1)
         if e_shift >= 0:
             num = _zp_shift(ctx, num, e_shift)
         else:
-            den[ATOM_Z] = den.get(ATOM_Z, 0) - e_shift
+            den[ATOM_Z] = -e_shift
         return ZRat(ctx, tuple(num), _den_tuple(den))
 
     def conj(self) -> "ZRat":
@@ -586,78 +532,67 @@ class ZRat(RingElement):
 # trigonometric constructors
 # ---------------------------------------------------------------------------
 
-TRIG_KINDS = (
-    "tan_shift", "cot_shift", "sec2_shift", "csc2_shift",
-    "sec_k", "tan_k", "cot_k", "csc2_k", "sec2_k",
-    "half_sum_inv2", "half_diff_inv2",
-)
+# kind: (angle, numerator, monic denominator), the two polynomials in
+# w = e^{i angle}, low degree first, with Gaussian-integer coefficients.  The
+# angle is phi (w = z) or k phi (w = z^k).
+_TRIG_TABLE = {
+    "tan_shift": ("phi", (1j, 0, -1j), (1, 0, 1)),        # -i(w^2-1)/(w^2+1)
+    "cot_shift": ("phi", (1j, 0, 1j), (-1, 0, 1)),        #  i(w^2+1)/(w^2-1)
+    "sec2_shift": ("phi", (0, 0, 4), (1, 0, 2, 0, 1)),    #  4w^2/(w^2+1)^2
+    "csc2_shift": ("phi", (0, 0, -4), (1, 0, -2, 0, 1)),  # -4w^2/(w^2-1)^2
+    "sec_k": ("k phi", (0, 2), (1, 0, 1)),                #  2w/(w^2+1)
+    "tan_k": ("k phi", (1j, 0, -1j), (1, 0, 1)),
+    "cot_k": ("k phi", (1j, 0, 1j), (-1, 0, 1)),
+    "csc2_k": ("k phi", (0, 0, -4), (1, 0, -2, 0, 1)),
+    "sec2_k": ("k phi", (0, 0, 4), (1, 0, 2, 0, 1)),
+    # 1/(cos(k phi/2) +- sin(k phi/2))^2 = 1/(1 +- sin k phi) = +-2iw/(w +- i)^2
+    "half_sum_inv2": ("k phi", (0, 2j), (-1, 2j, 1)),
+    "half_diff_inv2": ("k phi", (0, -2j), (-1, -2j, 1)),
+}
+TRIG_KINDS = tuple(_TRIG_TABLE)
+
+
+def _w_rows(ctx: FieldCtx, poly: tuple, w: int) -> list:
+    """The rows of a polynomial in z^w with Gaussian-integer coefficients."""
+    one, ii = ctx.one().coeffs, ctx.imag_unit().coeffs
+    rows = [ctx.zero().coeffs] * (w * (len(poly) - 1) + 1)
+    for m, c in enumerate(poly):
+        re, im = int(c.real), int(c.imag)
+        rows[w * m] = canon_row([re * x + im * y for x, y in zip(one, ii)])
+    return rows
 
 
 def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
     """Exact rational form of a trigonometric coefficient.
 
-    Shifted kinds mean the angle phi + j pi/k; the *_k kinds mean the angle
-    k phi; the half_* kinds are 1/(cos(k phi/2) +- sin(k phi/2))^2 and exist
-    only for even k.  All are elements of Q(zeta_N)(z) via z = e^{i phi}.
-    Results are memoized per context.
+    Shifted kinds mean the angle phi + j pi/k, the rotation R^j of the kind
+    at phi; each has period pi, so j counts mod k.  The *_k kinds mean the
+    angle k phi and ignore j; the half_* kinds are
+    1/(cos(k phi/2) +- sin(k phi/2))^2 and exist only for even k.  Each is
+    built from its row of ``_TRIG_TABLE``, as an element of Q(zeta_N)(z)
+    with z = e^{i phi}.  Results are memoized per context.
+
+    >>> from .cyclofield import ctx_new
+    >>> ctx = ctx_new(3)
+    >>> trig(ctx, "tan_shift", 4) is trig(ctx, "tan_shift", 1)
+    True
     """
-    if kind not in TRIG_KINDS:
+    if kind not in _TRIG_TABLE:
         raise CoeffError(f"unknown trig kind {kind!r}")
-    j = j % (2 * ctx.k) if kind.endswith("_shift") else 0
+    angle, num, den = _TRIG_TABLE[kind]
+    j = j % ctx.k if angle == "phi" else 0
     key = (kind, j)
     cached = ctx.trig_cache.get(key)
     if cached is not None:
         return cached
-
-    N, k, step = ctx.N, ctx.k, ctx.rho_exp
-    zero, ii = ctx.zero(), ctx.imag_unit()
-    atoms: dict = {}
-    if kind in ("tan_shift", "cot_shift", "sec2_shift", "csc2_shift"):
-        # u = rho^j z;  c = rho^{-2j} = zeta^{-2 j step}
-        c = ctx.root_power(-2 * j * step)
-        t_plus = (N // 2 - 2 * j * step) % N    # z^2 + c = z^2 - zeta^{t_plus}
-        t_minus = (-2 * j * step) % N           # z^2 - c = z^2 - zeta^{t_minus}
-        if kind == "tan_shift":
-            factor_unit_binomial(ctx, 2, t_plus, atoms)
-            num = [ii * c, zero, -ii]
-        elif kind == "cot_shift":
-            factor_unit_binomial(ctx, 2, t_minus, atoms)
-            num = [ii * c, zero, ii]
-        elif kind == "sec2_shift":
-            factor_unit_binomial(ctx, 2, t_plus, atoms, mult=2)
-            num = [zero, zero, ctx.scalar(4) * c]
-        else:  # csc2_shift
-            factor_unit_binomial(ctx, 2, t_minus, atoms, mult=2)
-            num = [zero, zero, ctx.scalar(-4) * c]
-    elif kind in ("sec_k", "tan_k", "cot_k", "sec2_k", "csc2_k"):
-        if kind == "csc2_k":
-            factor_unit_binomial(ctx, 2 * k, 0, atoms, mult=2)
-            num = [zero] * (2 * k) + [ctx.scalar(-4)]
-        elif kind == "sec2_k":
-            factor_unit_binomial(ctx, 2 * k, N // 2, atoms, mult=2)
-            num = [zero] * (2 * k) + [ctx.scalar(4)]
-        elif kind == "sec_k":
-            factor_unit_binomial(ctx, 2 * k, N // 2, atoms)
-            num = [zero] * k + [ctx.scalar(2)]
-        elif kind == "cot_k":   # i (z^{2k}+1)/(z^{2k}-1)
-            factor_unit_binomial(ctx, 2 * k, 0, atoms)
-            num = [ii] + [zero] * (2 * k - 1) + [ii]
-        else:  # tan_k = -i (z^{2k}-1)/(z^{2k}+1)
-            factor_unit_binomial(ctx, 2 * k, N // 2, atoms)
-            num = [ii] + [zero] * (2 * k - 1) + [-ii]
+    if j:
+        out = trig(ctx, kind, 0).rotate_n(j)
     else:
-        # half-angle inverse squares, even k only:
-        #   1/(cos + sin)^2 = 1/(1 + sin k phi) =  2i z^k / (z^k + i)^2
-        #   1/(cos - sin)^2 = 1/(1 - sin k phi) = -2i z^k / (z^k - i)^2
-        if k % 2:
-            raise CoeffError(f"{kind} requires even k, got k={k}")
-        if kind == "half_sum_inv2":
-            factor_unit_binomial(ctx, k, 3 * N // 4, atoms, mult=2)  # z^k + i
-            num = [zero] * k + [ctx.scalar(2) * ii]
-        else:
-            factor_unit_binomial(ctx, k, N // 4, atoms, mult=2)      # z^k - i
-            num = [zero] * k + [ctx.scalar(-2) * ii]
-    out = ZRat._make(ctx, [x.coeffs for x in num], atoms)
+        if kind.startswith("half_") and ctx.k % 2:
+            raise CoeffError(f"{kind} requires even k, got k={ctx.k}")
+        w = 1 if angle == "phi" else ctx.k
+        out = ZRat._make(ctx, _w_rows(ctx, num, w),
+                         _monic_atoms(ctx, _w_rows(ctx, den, w)))
     ctx.trig_cache[key] = out
     return out
 
@@ -694,6 +629,11 @@ class Coefficient(RingElement):
         return Coefficient(ctx, {(m, a, b, w2): zr} if zr.num else {})
 
     _embed = monomial
+
+    def _unembed(self):
+        if not self.terms:
+            return 0
+        return self.terms.get((0, 0, 0, 0)) if len(self.terms) == 1 else None
 
     # -- structure -------------------------------------------------------------
 

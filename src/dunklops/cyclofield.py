@@ -287,15 +287,17 @@ class RingElement:
 
     The types form a tower, each over the one before: ``CycloScalar`` in
     Q(zeta_N), ``ZRat`` in Q(zeta_N)(z), ``Coefficient`` over ``ZRat`` and
-    ``OpExpr`` over ``Coefficient``.  Each supplies six pieces: ``_embed``
-    (a value of the level below, or an int or rational, as one of its own),
-    ``_add`` and ``_mul`` (with an element of its own type and context),
-    ``__neg__``, ``is_zero`` and ``_data`` (the hashable canonical data that
-    ``==`` compares).  This class derives the lifting chain, ``+``, ``-``,
-    ``*``, their reflections, ``==``, ``hash`` and ``bool`` from them, so a
-    constructor and an operator take and refuse the same inputs: a value of
-    another context raises FieldError, a foreign type (a float, a str)
-    TypeError in a constructor and NotImplemented in an operator.
+    ``OpExpr`` over ``Coefficient``.  Each supplies seven pieces: ``_embed``
+    (a value of the level below, or an int or rational, as one of its own)
+    and its inverse ``_unembed`` (that value, or None for a value no
+    ``_embed`` makes), ``_add`` and ``_mul`` (with an element of its own type
+    and context), ``__neg__``, ``is_zero`` and ``_data`` (the hashable
+    canonical data that ``==`` compares).  This class derives the lifting
+    chain, ``+``, ``-``, ``*``, their reflections, ``==``, ``hash`` and
+    ``bool`` from them, so a constructor and an operator take and refuse the
+    same inputs: a value of another context raises FieldError, a foreign type
+    (a float, a str) TypeError in a constructor and NotImplemented in an
+    operator.
 
     ``x - y`` is ``x + (-y)``.  A reflected operand is lifted and keeps its
     place in a product, ``c * x`` being ``lift(c) * x``, since operator
@@ -352,11 +354,15 @@ class RingElement:
         return NotImplemented if o is None else self._data() == o._data()
 
     def __hash__(self):
-        # keyed by the context object, which == requires to be the same:
-        # values of two contexts, even of one N (k = 1 and k = 2) or one k,
-        # must not meet in a hash bucket, where == would raise
+        # A value that ``_unembed`` lowers equals what it lowers to, so it
+        # hashes like that, down to an int or Fraction.  Any other value is
+        # keyed by its context object: values of two contexts, even of one N
+        # (k = 1 and k = 2) or one k, meet in a hash bucket only when they
+        # are equal rational constants, and there == raises FieldError.
         if self._hash is None:
-            self._hash = hash((id(self.ctx), self._data()))
+            low = self._unembed()
+            self._hash = (hash((id(self.ctx), self._data())) if low is None
+                          else hash(low))
         return self._hash
 
     def __bool__(self):
@@ -387,6 +393,9 @@ class CycloScalar(RingElement):
         if isinstance(x, int) or type(x) is RAT:
             return CycloScalar(ctx, (x,) + (0,) * (ctx.deg - 1))
         raise TypeError(f"cannot lift a {type(x).__name__} into an exact ring")
+
+    def _unembed(self):
+        return self.coeffs[0] if self.is_rational() else None
 
     def _data(self) -> tuple:
         return self.coeffs

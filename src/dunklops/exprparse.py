@@ -311,11 +311,9 @@ def elaborate(ast, ctx: FieldCtx) -> OpExpr:
     if kind == "trig":
         _, name, shift, pos = ast
         tkind = _TRIG_SUGAR[name]
-        if tkind in ("sec_k", "tan_k"):
-            if shift:
-                raise ParseError(f"{name} takes a bare phi argument", pos)
-            return op_coeff(ctx, trig(ctx, tkind))
-        return op_coeff(ctx, trig(ctx, tkind, shift % ctx.k))
+        if shift and tkind in ("sec_k", "tan_k"):
+            raise ParseError(f"{name} takes a bare phi argument", pos)
+        return op_coeff(ctx, trig(ctx, tkind, shift))
     if kind == "group":
         return elaborate(ast[1], ctx)
     # names

@@ -75,6 +75,8 @@ class OpExpr(RingElement):
     def _embed(ctx: FieldCtx, c) -> "OpExpr":
         return op_coeff(ctx, c)
 
+    _unembed = Coefficient._unembed     # both keep the unit at (0, 0, 0, 0)
+
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -12,9 +12,8 @@ from dunklops._rat import RAT
 from dunklops import coeffring
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_degree, _atom_product, _divmod_atom,
-                                _zeta_times, _zp_add, _zp_deriv, _zp_mul,
-                                _zp_neg, _zp_shift, factor_unit_binomial,
-                                trig)
+                                _monic_atoms, _zeta_times, _zp_add, _zp_deriv,
+                                _zp_mul, _zp_neg, _zp_shift, trig)
 from dunklops.cyclofield import CycloScalar, binary_power, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
 from ring_helpers import coefficient_degrees, zrat_eval, zrat_from_poly
@@ -43,12 +42,12 @@ def zval(phi):
 
 def test_trig_constructors_match_float_trig():
     assert set(TRIG_KINDS) == set(_REFS)
-    for k in (1, 2, 3, 4, 5, 6):
+    for k in range(1, 13):
         ctx = ctx_new(k)
         for kind in TRIG_KINDS:
             if kind in ("half_sum_inv2", "half_diff_inv2") and k % 2:
                 continue
-            for j in range(k if kind.endswith("_shift") else 1):
+            for j in range(2 * k if kind.endswith("_shift") else 1):
                 f = trig(ctx, kind, j)
                 for phi in _ANGLES:
                     expect = _REFS[kind](k, j, phi)
@@ -235,33 +234,18 @@ def _atom_zrat(ctx, atom):
 
 
 def test_factor_unit_binomial_roundtrip():
+    """``_monic_atoms`` splits z^n - zeta^t into atoms that multiply back."""
     ctx = ctx_new(3)          # N = 12
     for n, t in [(2, 0), (2, 6), (3, 6), (4, 0), (6, 6), (2, 3), (1, 5)]:
-        atoms: dict = {}
-        factor_unit_binomial(ctx, n, t, atoms)
+        expect = ZRat.z_power(ctx, n) - ZRat.const(ctx, ctx.root_power(t))
+        atoms = _monic_atoms(ctx, list(expect.num))
         prod = ZRat.const(ctx, 1)
         for atom, mult in atoms.items():
             prod = prod * _atom_zrat(ctx, atom) ** mult
-        expect = ZRat.z_power(ctx, n) - ZRat.const(ctx, ctx.root_power(t))
         assert prod == expect
     with pytest.raises(CoeffError):
-        factor_unit_binomial(ctx, 5, 0, {})   # 5 does not divide N = 12
-    # every quadratic atom is z^2 - zeta^s with s odd, so irreducible
-    quads = 0
-    for k in range(1, 13):
-        ctx = ctx_new(k)
-        for n in (n for n in range(1, ctx.N + 1) if ctx.N % n == 0):
-            for t in range(ctx.N):
-                atoms: dict = {}
-                try:
-                    factor_unit_binomial(ctx, n, t, atoms)
-                except CoeffError:
-                    continue
-                for atom in atoms:
-                    if atom[0] == "quad":
-                        quads += 1
-                        assert atom[1] % 2 == 1, (k, n, t, atom)
-    assert quads
+        # z^4 + z^3 + z^2 + z + 1 has no root in Q(zeta_12)
+        _monic_atoms(ctx, list((ZRat.z_power(ctx, 5) - 1).num))
 
 
 def test_inv_splits_the_numerator_into_unit_and_atoms():

@@ -43,9 +43,12 @@ def test_ring_protocol(cls):
     assert hash((x + y) - y) == hash(x)
     assert not bool(x - x) and bool(x)
     # values of two contexts share a set, also where the contexts share N
-    # (k = 1 and k = 2 both have N = 4) or k
+    # (k = 1 and k = 2 both have N = 4) or k; equal rational constants of two
+    # contexts hash like the number, and == between them raises
     ctxs = (ctx_new(1), ctx_new(2), FieldCtx(2))
-    assert len({cls._lift(c, 1) for c in ctxs}) == 3
+    assert len({cls._lift(c, c.imag_unit()) for c in ctxs}) == 3
+    with pytest.raises(FieldError):
+        {cls._lift(c, 1) for c in ctxs}
     # a value of another context is refused by every operator
     z, _ = _PAIRS[cls](other_ctx)
     for combine in (lambda u, v: u + v, lambda u, v: u - v,
@@ -64,6 +67,19 @@ def test_ring_protocol(cls):
             continue        # its own: x - 1 counts as one scalar add
         assert getattr(cls, name) is getattr(RingElement, name), name
     assert cls._lift.__func__ is RingElement._lift.__func__
+
+
+@pytest.mark.parametrize("cls", list(_PAIRS), ids=lambda c: c.__name__)
+def test_a_value_equal_to_a_number_hashes_like_it(cls):
+    """x == y must give hash(x) == hash(y): a constant of any level hashes
+    like the number, or the scalar, that it equals."""
+    ctx = ctx_new(3)
+    for number in (0, 1, -2, RAT(3, 2)):
+        x = cls._lift(ctx, number)
+        assert x == number and hash(x) == hash(number)
+    assert {1: "a"}.get(cls._lift(ctx, 1)) == "a"
+    i = ctx.imag_unit()
+    assert cls._lift(ctx, i) == i and hash(cls._lift(ctx, i)) == hash(i)
 
 
 @pytest.mark.parametrize("construct", [
