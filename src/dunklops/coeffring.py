@@ -519,13 +519,9 @@ class ZRat(RingElement):
         # -i z e_a N a' A/a, a product of factors prime to a.
         return ZRat._make(ctx, num, den, [ATOM_Z] if ATOM_Z in den else [])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        num = " + ".join(f"({CycloScalar(self.ctx, c)!r})z^{j}"
-                         for j, c in enumerate(self.num) if any(c)) or "0"
-        if not self.den:
-            return num
-        den = " ".join(f"{a}^{m}" for a, m in self.den)
-        return f"({num}) / [{den}]"
+    def __repr__(self) -> str:
+        from .exprparse import pretty_zrat
+        return f"ZRat({pretty_zrat(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -697,22 +693,9 @@ class Coefficient(RingElement):
         return Coefficient(self.ctx, {key: zr.conj()
                                       for key, zr in self.terms.items()})
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, a, b, g), zr in self.items():
-            tags = []
-            if m:
-                tags.append(f"r^{m}")
-            if a:
-                tags.append(f"a^{a}")
-            if b:
-                tags.append(f"b^{b}")
-            if g:
-                tags.append(f"w2^{g}")
-            bits.append(f"[{zr!r}]" + ("*" + "*".join(tags) if tags else ""))
-        return " + ".join(bits)
+    def __repr__(self) -> str:
+        from .exprparse import pretty_coefficient
+        return f"Coefficient({pretty_coefficient(self)})"
 
 
 # ---------------------------------------------------------------------------

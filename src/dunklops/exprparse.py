@@ -22,8 +22,9 @@ generator powers must be nonnegative (R^n is reduced mod 2k).  Parentheses
 nest at most MAX_GROUP_DEPTH (200) deep, an exponent is at most
 MAX_EXPONENT (1024) in size, and an expression whose orders P in dr and Q in
 dphi could reach more than MAX_DERIVATIVE_TERMS (1025) terms, (P + 1)(Q + 1),
-is refused before it is expanded.  Syntax and elaboration errors carry the
-offending position.
+is refused before it is expanded.  An integer literal longer than the
+interpreter's conversion limit (``sys.get_int_max_str_digits()``) is a parse
+error too.  Syntax and elaboration errors carry the offending position.
 
 ``pretty`` emits canonically ordered text that re-parses to an equal
 OpExpr; it never uses the trig sugar, only exact z-rational coefficients.
@@ -105,7 +106,12 @@ def _tokenize(text: str):
         start = m.start(1) if m.group(1) else (
             m.start(2) if m.group(2) else m.start(3))
         if m.group(1):
-            toks.append(("int", int(m.group(1)), start))
+            try:
+                value = int(m.group(1))
+            except ValueError:      # beyond sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {len(m.group(1))} "
+                                 "digits is too long", start, text) from None
+            toks.append(("int", value, start))
         elif m.group(2):
             word = m.group(2)
             if word not in _KEYWORDS:

@@ -14,8 +14,9 @@ parts the chains share cancel as numerators over common denominators); the
 oracle module applies the same chains factor by factor to random test
 functions, so the numeric witness never relies on the product routine it is
 shadowing.  A trigonometric row's chains are products of leaves such as
-sec^2(phi + j pi/k), exact ``trig`` atoms on one side and the oracle's own
-closed forms on the other.  ``hk_two_forms`` sets the two assemblies of
+sec^2(phi + j pi/k).  On the exact side a leaf is the multiplication
+operator by its ``trig`` coefficient, filed like any other factor; the oracle
+evaluates its own closed forms.  ``hk_two_forms`` sets the two assemblies of
 the extension against each other as ``Assembly`` factors: the exact side
 subtracts the two cached sums, the oracle applies the chains that
 ``OperatorSet.hk_ext`` states for each.
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import time
 from fnmatch import fnmatchcase
-from functools import reduce
-from operator import mul
 from typing import NamedTuple
 
 # build_Dphi is not called here: perfbench's tracer patches the builders
@@ -43,10 +42,10 @@ from .builders import (Assembly, OperatorSet, build_Dphi,
                        explicit_k2_Dphi_squared, explicit_k2_Dr,
                        explicit_k3_counterterm, explicit_k3_Dphi,
                        explicit_k3_Dphi_squared, explicit_k3_Dr)
-from .coeffring import ZRat, _deposit_product, _settle_dens, trig
-from .cyclofield import FieldCtx, ctx_new
+from .coeffring import trig
+from .cyclofield import ctx_new
 from .errors import AlgebraError
-from .opalgebra import OpExpr, op_R, settle
+from .opalgebra import OpExpr, op_R, op_coeff, settle
 
 __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
            "check", "run_check", "run_suite", "shadow_reports", "iter_rows",
@@ -95,10 +94,11 @@ def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
 # sum of chains).  OperatorSet.deposit_chain files (Dphi, Dphi) as the
 # cached Dphi2 and an Assembly as its cached sum; the oracle
 # applies a tuple's members one by one and an Assembly's chains.  A leaf is
-# a ``trig`` kind with its unreduced shift j.  The exact residual is
-# sum(lhs) - sum(rhs), with sum(lhs) projected for "ops-invariant".
+# a ``trig`` kind with its unreduced shift j; the exact side files it as
+# op_coeff(trig(ctx, kind, j)).  The exact residual is sum(lhs) - sum(rhs),
+# with sum(lhs) projected for "ops-invariant".
 # iter_rows makes (row_id, residual_fn, numeric_fn) of every row:
-#   residual_fn() -> OpExpr | ZRat              exact residual, zero iff pass
+#   residual_fn() -> OpExpr                     exact residual, zero iff pass
 #   numeric_fn()  -> (kind, lhs, rhs), with plain chains for operators
 
 
@@ -320,27 +320,21 @@ def applicable(check_id: str, k: int) -> bool:
     return _REGISTRY[check_id][0](k)
 
 
-def _trig_residual(ctx: FieldCtx, spec) -> ZRat:
-    """sum(lhs) - sum(rhs) of a trig spec: every leaf product goes into one
-    accumulator slot, which is settled once.  A product starts at its first
-    leaf; a chain of no leaves is the constant 1."""
-    _kind, lhs, rhs = spec
-    one, slot = ZRat.const(ctx, 1), {}
-    for sign, chains in ((1, lhs), (-1, rhs)):
-        for weight, leaves in chains:
-            *head, last = [trig(ctx, kind, j) for kind, j in leaves] or [one]
-            _deposit_product(ctx, slot, (), reduce(mul, head) if head else one,
-                             last, sign * weight)
-    return _settle_dens(ctx, slot[()])
+def _trig_chains(ctx, chains) -> list:
+    """Trig chains as operator chains: a leaf (kind, j) is the
+    multiplication by ``trig(ctx, kind, j)``."""
+    return [(weight, [op_coeff(ctx, trig(ctx, kind, j)) for kind, j in leaves])
+            for weight, leaves in chains]
 
 
-def _exact_residual(ops: OperatorSet, spec):
+def _exact_residual(ops: OperatorSet, spec) -> OpExpr:
     """sum(lhs) - sum(rhs) of a spec; sum(lhs) is projected onto the
-    invariant sector for "ops-invariant".  Every chain goes into one
-    accumulator through ``ops.deposit_chain``, which is settled once."""
+    invariant sector for "ops-invariant".  Every chain, a trig row's as
+    multiplication operators, goes into one accumulator through
+    ``ops.deposit_chain``, which is settled once."""
     kind, lhs, rhs = spec
     if kind == "trig":
-        return _trig_residual(ops.ctx, spec)
+        lhs, rhs = _trig_chains(ops.ctx, lhs), _trig_chains(ops.ctx, rhs)
     acc: dict = {}
     for sign, project, chains in ((1, kind == "ops-invariant", lhs),
                                   (-1, False, rhs)):
@@ -392,18 +386,12 @@ _SAMPLE_LIMIT = 240
 
 
 def _residual_report(row_id: str, k: int, value, elapsed_ms: int) -> CheckReport:
-    if isinstance(value, ZRat):
-        count = sum(1 for c in value.num if any(c))
-    else:
-        count = value.term_count()
+    count = value.term_count()
     sample = ""
     if count:
-        from .exprparse import pretty, pretty_zrat
-        if isinstance(value, ZRat):
-            sample = pretty_zrat(value)
-        else:
-            key, coeff = value.items()[0]
-            sample = pretty(OpExpr(value.ctx, {key: coeff}))
+        from .exprparse import pretty
+        key, coeff = value.items()[0]
+        sample = pretty(OpExpr(value.ctx, {key: coeff}))
         if len(sample) > _SAMPLE_LIMIT:
             sample = sample[:_SAMPLE_LIMIT] + "..."
     return CheckReport(

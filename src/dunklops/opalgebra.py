@@ -141,23 +141,9 @@ class OpExpr(RingElement):
         """Replace every R^i I^e by 1 (action on fully invariant functions)."""
         return settle(self.ctx, deposit({}, self, project=True))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "OpExpr(0)"
-        bits = []
-        for (p, q, i, e), c in self.items():
-            tags = []
-            if p:
-                tags.append(f"dr^{p}")
-            if q:
-                tags.append(f"dphi^{q}")
-            if i:
-                tags.append(f"R^{i}")
-            if e:
-                tags.append("I")
-            head = "*".join(tags) if tags else "1"
-            bits.append(f"({c!r})*{head}")
-        return "OpExpr(" + " + ".join(bits) + ")"
+    def __repr__(self) -> str:
+        from .exprparse import pretty
+        return f"OpExpr({pretty(self)})"
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,21 @@ def test_parse_error_caret(capsys):
     assert lines[2] == "  " + " " * 5 + "^"
 
 
+def test_an_over_long_integer_literal_exits_2_with_a_caret(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer text of any length")
+    digits = "9" * (limit + 1)
+    code, _, err = run_cli(capsys, "norm", "--k", "2", "dr + " + digits)
+    assert code == 2
+    lines = err.splitlines()
+    assert lines[0] == (f"parse error: integer literal of {limit + 1} digits"
+                        " is too long (at position 5)")
+    assert lines[1] == "  dr + " + digits
+    assert lines[2] == "  " + " " * 5 + "^"
+    assert "Traceback" not in err
+
+
 def test_deep_nesting_is_a_parse_error():
     # a subprocess, so that an uncaught error would show as a traceback
     env = dict(os.environ, PYTHONPATH=str(SRC))

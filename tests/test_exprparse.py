@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -119,6 +120,21 @@ def test_error_positions():
         assert err.value.text == text
 
 
+def test_an_over_long_integer_literal_is_a_parse_error():
+    # int() refuses text past the interpreter's digit limit with a bare
+    # ValueError; the tokenizer turns that into a positioned ParseError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer text of any length")
+    digits = "9" * (limit + 1)
+    for text, pos in ((digits + "*dr", 0), ("dr + 2/" + digits, 7)):
+        with pytest.raises(ParseError, match=f"{limit + 1} digits is too long"
+                           ) as err:
+            parse(text)
+        assert err.value.pos == pos
+        assert err.value.text == text
+
+
 def test_elaborate_separately():
     ctx = ctx_new(2)
     ast = parse("dphi^2 - tank(phi)*dphi")
@@ -178,6 +194,10 @@ def test_pretty_zrat_and_coefficient():
     assert pretty_coefficient(Coefficient(ctx, {})) == "0"
     assert pretty_coefficient(Coefficient.monomial(ctx, m=-2, a=1, w2=1)) \
         == "r^-2*a*w2"
+    # the reprs wrap the printed text
+    assert repr(ZRat.z_power(ctx, 2)) == "ZRat(z^2)"
+    assert repr(Coefficient(ctx, {})) == "Coefficient(0)"
+    assert repr(build_S(4)) == "OpExpr(1 + R^4)"
 
 
 def test_roundtrip_all_builders():

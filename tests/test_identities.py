@@ -5,8 +5,9 @@ import pytest
 from dunklops import identities
 from dunklops._rat import RAT
 from dunklops.builders import MUTATIONS
-from dunklops.coeffring import ZRat, _den_tuple, trig
+from dunklops.coeffring import Coefficient, ZRat, _den_tuple, trig
 from dunklops.errors import AlgebraError
+from dunklops.exprparse import pretty_zrat
 from dunklops.identities import (CHECK_IDS, DEFAULT_CHECK_IDS, CheckReport,
                                  applicable, check, iter_rows, operator_set,
                                  run_check, run_suite, shadow_reports)
@@ -333,6 +334,29 @@ def _assert_canonical(zr):
     assert zr == ZRat._make(zr.ctx, list(zr.num), dict(zr.den)), zr
 
 
+def _lone_zrat(op):
+    """The ZRat an operator multiplies by, for one with no r, parameter or
+    generator: its lone (0, 0, 0, 0) coefficient's (0, 0, 0, 0) term."""
+    assert set(op.terms) <= {(0, 0, 0, 0)}, op
+    coeff = op.terms.get((0, 0, 0, 0), Coefficient(op.ctx, {}))
+    assert set(coeff.terms) <= {(0, 0, 0, 0)}, op
+    return coeff.terms.get((0, 0, 0, 0), ZRat.const(op.ctx, 0))
+
+
+def _left_fold(ctx, spec):
+    """sum(lhs) - sum(rhs) of a trig spec, by left-fold ZRat sums of its
+    leaf products."""
+    _kind, lhs, rhs = spec
+    total = ZRat.const(ctx, 0)
+    for sign, chains in ((1, lhs), (-1, rhs)):
+        for weight, leaves in chains:
+            product = ZRat.const(ctx, sign * weight)
+            for kind, j in leaves:
+                product = product * trig(ctx, kind, j)
+            total = total + product
+    return total
+
+
 def _trig_specs(check_id, k):
     ops = operator_set(k)
     return ops, [(check_id + rid, spec_fn())
@@ -350,8 +374,9 @@ def test_trig_residuals_match_the_left_fold_reference(k):
             kind, lhs, rhs = spec
             assert kind == "trig"
             want_lhs, want = _reference_trig(ops.ctx, cid, row_id)
-            got = identities._exact_residual(ops, spec)
-            got_lhs = identities._exact_residual(ops, ("trig", lhs, []))
+            got = _lone_zrat(identities._exact_residual(ops, spec))
+            got_lhs = _lone_zrat(identities._exact_residual(ops,
+                                                            ("trig", lhs, [])))
             assert got == want, row_id
             assert got_lhs == want_lhs, row_id
             _assert_canonical(got)
@@ -372,7 +397,13 @@ def _seeded_defects():
 
 @pytest.mark.parametrize("name, k, spec", list(_seeded_defects()))
 def test_seeded_trig_statement_defects_reach_both_witnesses(name, k, spec):
-    assert not identities._exact_residual(operator_set(k), spec).is_zero()
+    residual = identities._exact_residual(operator_set(k), spec)
+    assert not residual.is_zero()
+    # the exact report: one operator term, shown as the left-fold residual
+    rep = identities._residual_report(name, k, residual, 0)
+    assert rep.status == "fail"
+    assert rep.residual_term_count == 1
+    assert rep.residual_sample == pretty_zrat(_left_fold(residual.ctx, spec))
     rep = numeric_check_spec(spec, k, trials=100)
     assert rep.status == "fail"
     assert rep.num_over_tol >= 95

@@ -1,5 +1,7 @@
-"""The package's public surface: its exports and the README's examples."""
+"""The package's public surface: its exports, the README's examples and
+the one module boundary its sources keep."""
 
+import ast
 import doctest
 import importlib
 import pathlib
@@ -11,6 +13,7 @@ import pytest
 import dunklops
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = pathlib.Path(dunklops.__file__).resolve().parent
 
 
 def test_every_export_resolves_and_is_listed():
@@ -49,3 +52,17 @@ def test_readme_pycon_blocks_run_in_order():
         namespace = test.globs           # a DocTest runs in a copy
     assert runner.failures == 0, "".join(report)
     assert runner.tries == sum(b.count(">>> ") for b in blocks)
+
+
+def test_only_opalgebra_imports_private_names_from_coeffring():
+    # the accumulator's format is known to coeffring and opalgebra alone
+    importers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("coeffring", "dunklops.coeffring")):
+                importers.setdefault(path.stem, []).extend(
+                    alias.name for alias in node.names
+                    if alias.name.startswith("_"))
+    private = {stem: names for stem, names in importers.items() if names}
+    assert set(private) == {"opalgebra"}, private
