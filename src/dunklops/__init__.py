@@ -16,9 +16,10 @@ Layers, bottom to top:
 - ``opalgebra``: normal-ordered operator expressions and their product,
   adjoint, and identity-representation projection.
 - ``builders``: the named operators (Dr, Dphi, Hk, Xk, the invariant
-  extension, the group-algebra counterterm) for any k, plus documented
-  mutations for fail-path testing.
-- ``identities``: the check registry with exact residual reports.
+  extension, the group-algebra counterterm) for any k, plus the names of
+  two seeded defects for fail-path testing.
+- ``identities``: the check registry, run row by row into exact residual
+  reports.
 - ``oracle``: the analytic-on-test-functions numeric second witness; it is
   the only module that needs numpy, and it is imported on first use.
 - ``exprparse``: the expression grammar and round-tripping printer.
@@ -30,15 +31,15 @@ from .errors import (AlgebraError, CoeffError, DunklopsError, FieldError,
 from .cyclofield import (DEFAULT_MAX_K, CycloScalar, FieldCtx, ctx_new,
                          max_k_ceiling)
 from .coeffring import Coefficient, ZRat, trig
-from .opalgebra import (OpExpr, anticommutator, commutator, op_I, op_R,
-                        op_coeff, op_dphi, op_dr, op_one, op_param,
-                        op_product, op_r, op_sum, op_zero)
-from .builders import (MUTATIONS, OPERATORS, Mutation, build_counterterm,
-                       build_Dphi, build_Dphi_squared_expanded, build_Dr,
+from .opalgebra import (OpExpr, commutator, op_I, op_R, op_coeff, op_dphi,
+                        op_dr, op_one, op_param, op_product, op_r, op_sum,
+                        op_zero)
+from .builders import (MUTATIONS, OPERATORS, build_counterterm, build_Dphi,
+                       build_Dphi_squared_expanded, build_Dr,
                        build_extended_Hk, build_Hk, build_reflection_tail,
                        build_S, build_Xk)
 from .identities import (CHECK_IDS, DEFAULT_CHECK_IDS, DEFAULT_SEED,
-                         CheckReport, applicable, check, run_check, run_suite,
+                         CheckReport, applicable, run_check, run_suite,
                          shadow_reports)
 from .exprparse import (elaborate, parse, parse_op, pretty,
                         pretty_coefficient, pretty_zrat)
@@ -65,13 +66,12 @@ __all__ = [
     "OracleError", "ParseError", "ScalarInversionError",
     "DEFAULT_MAX_K", "CycloScalar", "FieldCtx", "ctx_new", "max_k_ceiling",
     "Coefficient", "ZRat", "trig",
-    "OpExpr", "anticommutator", "commutator", "op_I", "op_R", "op_coeff",
-    "op_dphi", "op_dr", "op_one", "op_param", "op_product", "op_r",
-    "op_sum", "op_zero",
-    "MUTATIONS", "OPERATORS", "Mutation", "build_counterterm", "build_Dphi",
+    "OpExpr", "commutator", "op_I", "op_R", "op_coeff", "op_dphi", "op_dr",
+    "op_one", "op_param", "op_product", "op_r", "op_sum", "op_zero",
+    "MUTATIONS", "OPERATORS", "build_counterterm", "build_Dphi",
     "build_Dphi_squared_expanded", "build_Dr", "build_extended_Hk",
     "build_Hk", "build_reflection_tail", "build_S", "build_Xk",
-    "CHECK_IDS", "DEFAULT_CHECK_IDS", "CheckReport", "applicable", "check",
+    "CHECK_IDS", "DEFAULT_CHECK_IDS", "CheckReport", "applicable",
     "run_check", "run_suite", "shadow_reports",
     "DEFAULT_SEED", "OracleReport", "numeric_check", "numeric_check_spec",
     "elaborate", "parse", "parse_op", "pretty", "pretty_coefficient",

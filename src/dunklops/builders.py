@@ -19,12 +19,14 @@ Every operator the verification suite talks about is built here, for any
 summand by summand for those two k values, used to cross-check the general
 constructors term-for-term.
 
-Builders accept either a FieldCtx or a bare integer k.  Two documented
-single-coefficient mutations are available for fail-path testing of the
-verification suite; they must never be used for anything else:
+Builders accept either a FieldCtx or a bare integer k.  ``MUTATIONS`` names
+two single-coefficient defects for fail-path testing of the verification
+suite; they must never be used for anything else:
 
     "b-shift"  the i = 0 cotangent multiplier -b becomes -(b+1) in build_Dphi
     "dr-drop"  build_Dr loses its i = k-1 rotation summand
+
+The checks each defect must fail are stated by the tests that assert them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "explicit_k3_Dr", "explicit_k3_Dphi", "explicit_k3_Dphi_squared",
     "explicit_k3_counterterm", "explicit_k2_Dr", "explicit_k2_Dphi",
     "explicit_k2_Dphi_squared", "explicit_k2_counterterm",
-    "OPERATORS", "MUTATIONS", "Mutation", "OperatorSet", "Assembly",
+    "OPERATORS", "MUTATIONS", "OperatorSet", "Assembly",
 ]
 
 
@@ -492,27 +494,4 @@ OPERATORS = {
     "HkExtViaDr": lambda ctx: build_extended_Hk(ctx, "via_Dr"),
 }
 
-
-class Mutation:
-    """A documented single-coefficient defect for fail-path testing."""
-
-    __slots__ = ("name", "description", "targets")
-
-    def __init__(self, name: str, description: str, targets: tuple):
-        self.name = name
-        self.description = description
-        self.targets = targets
-
-
-MUTATIONS = {
-    "b-shift": Mutation(
-        "b-shift",
-        "replace the i=0 cotangent multiplier -b by -(b+1) in build_Dphi",
-        ("dphi_squared", "dphi_props"),
-    ),
-    "dr-drop": Mutation(
-        "dr-drop",
-        "drop the i=k-1 rotation summand from build_Dr",
-        ("dr_props", "dr_dphi_commutator"),
-    ),
-}
+MUTATIONS = ("b-shift", "dr-drop")

@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = command("verify", "run the identity suite", cmd_verify)
     verify.add_argument("--suite", help="comma list of check-id globs")
-    verify.add_argument("--mutate", choices=sorted(MUTATIONS),
+    verify.add_argument("--mutate", choices=MUTATIONS,
                         help="apply a documented mutation (expect failures)")
     verify.add_argument("--oracle", action="store_true",
                         help="also run the numeric shadow of every row")
@@ -287,7 +287,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (``| head``): send what is still buffered
         # to devnull, so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     except ParseError as exc:
         _print_parse_error(exc)

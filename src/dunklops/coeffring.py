@@ -3,12 +3,14 @@
 Angle-dependent coefficients live in Q(zeta_N)(z) with z = e^{i phi}.  A
 ``ZRat`` keeps a dense polynomial numerator and a *factored* denominator whose
 factors ("atoms") are z, z - zeta^s, or the irreducible z^2 - zeta^s (s odd);
-``_monic_atoms`` splits every denominator of the closed forms in ``trig``'s
-table into such atoms.  Keeping them factored lets reduction proceed by exact
-trial division instead of polynomial gcd.  The canonical form of a nonzero f
-is num/den with den the monic product of the atoms and gcd(num, den) = 1,
-that is, no atom of den divides num; zero is ()/1.  Every operation returns
-this form, and equality is literal equality of the canonical data.
+``_monic_atoms`` splits a monic polynomial into such atoms by trial
+division, and ``trig`` reads the atoms of each closed form in its table off
+the roots of the table's denominator.  Keeping them factored lets reduction
+proceed by exact trial division instead of polynomial gcd.  The canonical
+form of a nonzero f is num/den with den the monic product of the atoms and
+gcd(num, den) = 1, that is, no atom of den divides num; zero is ()/1.  Every
+operation returns this form, and equality is literal equality of the
+canonical data.
 
 The atoms are pairwise coprime irreducibles and the operands are canonical, so
 most trial divisions can be shown in advance to fail and are not made (as in
@@ -28,7 +30,7 @@ Henrici's rational arithmetic, Knuth TAOCP 2, 4.5.1).  Each operation tries:
     x ** n       none beyond inv (num^n / den^n is canonical)
     rotate_n, reflect, conj, neg   none (they map canonical forms to
                  canonical forms); rotate_n and reflect return a constant
-                 unchanged
+                 unchanged, and conj keeps the atoms
 
 A constant (no denominator, at most one numerator row) does not depend on
 phi.  A nonzero constant is a unit, so a product with one is already
@@ -452,6 +454,19 @@ class ZRat(RingElement):
         """Substitute z -> 1/z.  Bijective on canonical forms."""
         if self.is_const():
             return self
+        return self._at_inverse_z(self.num, -1)
+
+    def conj(self) -> "ZRat":
+        """Scalar conjugation combined with z -> 1/z (adjoint of a multiplier)."""
+        ctx = self.ctx
+        return self._at_inverse_z(
+            [canon_row(ctx.galois_row(-1, row)) for row in self.num], 1)
+
+    def _at_inverse_z(self, rows, flip: int) -> "ZRat":
+        """(rows / den)(1/z), rows this numerator (flip = -1) or its Galois
+        conjugate (flip = 1).  The conjugate's denominator is den with each
+        atom s relabelled -s, and z -> 1/z relabels it back, so each atom s
+        of den becomes flip * s in one relabelling."""
         ctx = self.ctx
         # z^d - zeta^s at 1/z is -zeta^s z^-d (z^d - zeta^-s)
         sign = zexp = 0
@@ -460,28 +475,17 @@ class ZRat(RingElement):
             if atom != ATOM_Z:
                 sign += mult
                 zexp += atom[1] * mult
-                den[atom[0], (-atom[1]) % ctx.N] = mult
-        # times the unit (-1)^sign zeta^-zexp, with -1 = zeta^(N/2)
-        unit = -zexp + (ctx.N // 2 if sign % 2 else 0)
+                den[atom[0], (flip * atom[1]) % ctx.N] = mult
+        # times the unit (-1)^sign zeta^(flip zexp), with -1 = zeta^(N/2)
+        unit = flip * zexp + (ctx.N // 2 if sign % 2 else 0)
         num = [_zeta_times(ctx, unit, row)
-               for row in _zp_trim(list(reversed(self.num)))]
-        e_shift = self.den_degree() - (len(self.num) - 1)
+               for row in _zp_trim(list(reversed(rows)))]
+        e_shift = self.den_degree() - (len(rows) - 1)
         if e_shift >= 0:
             num = _zp_shift(ctx, num, e_shift)
         else:
             den[ATOM_Z] = -e_shift
         return ZRat(ctx, tuple(num), _den_tuple(den))
-
-    def conj(self) -> "ZRat":
-        """Scalar conjugation combined with z -> 1/z (adjoint of a multiplier)."""
-        if self.is_zero():
-            return self
-        ctx = self.ctx
-        num = tuple(canon_row(ctx.galois_row(-1, c)) for c in self.num)
-        den = {(atom if atom == ATOM_Z else (atom[0], (-atom[1]) % ctx.N)): mult
-               for atom, mult in self.den}
-        sigma = ZRat(ctx, num, _den_tuple(den))
-        return sigma.reflect()
 
     def d_phi(self) -> "ZRat":
         """The derivation d/dphi = i z d/dz."""
@@ -528,7 +532,7 @@ class ZRat(RingElement):
 # trigonometric constructors
 # ---------------------------------------------------------------------------
 
-# kind: (angle, numerator, monic denominator), the two polynomials in
+# kind: (angle, numerator, monic denominator), two coprime polynomials in
 # w = e^{i angle}, low degree first, with Gaussian-integer coefficients.  The
 # angle is phi (w = z) or k phi (w = z^k).
 _TRIG_TABLE = {
@@ -556,6 +560,28 @@ def _w_rows(ctx: FieldCtx, poly: tuple, w: int) -> list:
         re, im = int(c.real), int(c.imag)
         rows[w * m] = canon_row([re * x + im * y for x, y in zip(one, ii)])
     return rows
+
+
+def _table_atoms(ctx: FieldCtx, den: tuple, w: int) -> dict:
+    """The atom multiplicities of den(z^w), den a table row's monic
+    denominator, read off the roots of den in w; den(z^w) is never divided.
+    z - zeta^s has the multiplicity of zeta^(w s) as a root of den (z -> z^w
+    keeps multiplicities away from 0), and z^2 - zeta^s, s odd, that of
+    zeta^(w s / 2) for even w; for odd w no root of it has its w-th power
+    in the field.  The degrees add up only if these atoms are all of
+    den(z^w)."""
+    roots = _monic_atoms(ctx, _w_rows(ctx, den, 1))
+    N = ctx.N
+    atoms = {("lin", s): roots.get(("lin", w * s % N)) for s in range(N)}
+    if w % 2 == 0:
+        atoms.update({("quad", s): roots.get(("lin", w // 2 * s % N))
+                      for s in range(1, N, 2)})
+    atoms = {atom: m for atom, m in atoms.items() if m}
+    if sum(_atom_degree(a) * m for a, m in atoms.items()) != w * (len(den) - 1):
+        raise CoeffError(
+            "polynomial does not factor into the cyclotomic atom set"
+        )
+    return atoms
 
 
 def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
@@ -587,8 +613,9 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
         if kind.startswith("half_") and ctx.k % 2:
             raise CoeffError(f"{kind} requires even k, got k={ctx.k}")
         w = 1 if angle == "phi" else ctx.k
-        out = ZRat._make(ctx, _w_rows(ctx, num, w),
-                         _monic_atoms(ctx, _w_rows(ctx, den, w)))
+        # coprime in w, num and den are coprime in z: no atom cancels
+        out = ZRat(ctx, tuple(_w_rows(ctx, num, w)),
+                   _den_tuple(_table_atoms(ctx, den, w)))
     ctx.trig_cache[key] = out
     return out
 

@@ -1,12 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N), N = lcm(4, 2k).
 
 The dihedral group of order 4k acts on angle functions through the primitive
-root of unity rho = e^{i pi / k}; together with the imaginary unit this forces
-the scalar field Q(zeta_N) with N = lcm(4, 2k).  Scalars are stored on the
-power basis 1, zeta, ..., zeta^{deg-1} modulo the N-th cyclotomic polynomial,
-with exact rational coordinates: a Python ``int`` wherever the coordinate is
-integral, which is nearly always, and a ``RAT`` only where a division made it
-a proper fraction.
+root of unity rho = e^{i pi / k}, which is zeta^s for s = ``FieldCtx.rho_exp``;
+together with the imaginary unit this forces the scalar field Q(zeta_N) with
+N = lcm(4, 2k).  Scalars are stored on the power basis 1, zeta, ...,
+zeta^{deg-1} modulo the N-th cyclotomic polynomial, with exact rational
+coordinates: a Python ``int`` wherever the coordinate is integral, which is
+nearly always, and a ``RAT`` only where a division made it a proper
+fraction.
 
 Q(zeta_N) is Galois over Q with group (Z/N)^*, sigma_j: zeta -> zeta^j, and
 ``FieldCtx.galois_row`` applies sigma_j to a coordinate row.  Conjugation is
@@ -23,7 +24,7 @@ their reflections, ``==``, ``hash`` and ``bool``.
     (12, 4)
     >>> ctx.imag_unit() ** 2 == -ctx.one()
     True
-    >>> ctx.rho() ** 3 == -ctx.one()     # rho = e^{i pi/3}
+    >>> ctx.root_power(ctx.rho_exp) ** 3 == -ctx.one()   # rho = e^{i pi/3}
     True
 """
 
@@ -172,10 +173,6 @@ class FieldCtx:
         """The imaginary unit i = zeta^{N/4}."""
         return self.root_power(self.N // 4)
 
-    def rho(self) -> "CycloScalar":
-        """rho = e^{i pi / k} = zeta^{N/(2k)}, the rotation eigenvalue."""
-        return self.root_power(self.N // (2 * self.k))
-
     def reduce_row(self, row: list) -> list:
         """Power-basis coordinates of sum_m row[m] zeta^m, for rows of up to
         max(N, 2 deg - 1) entries; the row itself is not modified."""
@@ -213,7 +210,8 @@ class FieldCtx:
 
     @property
     def rho_exp(self) -> int:
-        """Exponent s with rho = zeta^s."""
+        """Exponent s with rho = e^{i pi / k} = zeta^s, the rotation
+        eigenvalue; rho is ``root_power(rho_exp)``."""
         return self.N // (2 * self.k)
 
     def unit_embed(self, j: int) -> complex:

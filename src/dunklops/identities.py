@@ -4,7 +4,8 @@ Each check computes LHS - RHS of one structural identity in canonical form;
 ``status`` is "pass" exactly when the residual has no terms.  Checks whose
 parity precondition excludes the given k report "skipped".  A check may have
 several rows (one per j value, per relation, per explicit sub-identity);
-every row becomes its own CheckReport with a ``base[row]`` id.
+every row becomes its own CheckReport with a ``base[row]`` id, and
+``run_check`` returns them in row order, never folded into one report.
 
 Every row states its identity once, as weighted chains (lhs, rhs), and
 both witnesses read that one statement.  An operator row's exact
@@ -21,12 +22,12 @@ the extension against each other as ``Assembly`` factors: the exact side
 subtracts the two cached sums, the oracle applies the chains that
 ``OperatorSet.hk_ext`` states for each.
 
-    >>> check("trig_sec2", 3).status
-    'pass'
-    >>> check("trig_tan_tan", 1).status       # empty j range at k=1
-    'skipped'
-    >>> check("dphi_squared", 3, mutation="b-shift").status
-    'fail'
+    >>> [r.status for r in run_check("trig_sec2", 3)]
+    ['pass']
+    >>> [r.status for r in run_check("trig_tan_tan", 1)]  # empty j range
+    ['skipped']
+    >>> [r.status for r in run_check("dphi_squared", 3, mutation="b-shift")]
+    ['fail', 'fail']
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import AlgebraError
 from .opalgebra import OpExpr, op_R, op_coeff, settle
 
 __all__ = ["CheckReport", "CHECK_IDS", "DEFAULT_CHECK_IDS", "DEFAULT_SEED",
-           "check", "run_check", "run_suite", "shadow_reports", "iter_rows",
+           "run_check", "run_suite", "shadow_reports", "iter_rows",
            "applicable", "operator_set", "OperatorSet"]
 
 DEFAULT_SEED = 20260815         # the oracle's sampling seed (re-exported there)
@@ -414,18 +415,6 @@ def run_check(check_id: str, k: int, mutation: str | None = None) -> list:
         elapsed = int((time.perf_counter() - start) * 1000)
         reports.append(_residual_report(row_id, k, value, elapsed))
     return reports
-
-
-def check(check_id: str, k: int, mutation: str | None = None) -> CheckReport:
-    """One aggregated report for a whole check (rows folded together)."""
-    rows = run_check(check_id, k, mutation)
-    if len(rows) == 1 and rows[0].check_id == check_id:
-        return rows[0]
-    count = sum(r.residual_term_count for r in rows)
-    sample = next((r.residual_sample for r in rows if r.residual_sample), "")
-    status = "fail" if any(r.status == "fail" for r in rows) else "pass"
-    return CheckReport(check_id, k, status, count, sample,
-                       sum(r.elapsed_ms for r in rows))
 
 
 def _match(check_id: str, pattern: str | None) -> bool:

@@ -14,14 +14,13 @@ Every sum and product is a multiply-accumulate: ``deposit`` and
 ``accumulate`` file the parts of x + y and x * y under their operator keys in
 a ``coeffring`` accumulator, and ``settle`` reduces each same-denominator
 group once, then adds the distinct denominators.  ``+``, ``op_sum`` and the
-sums of products (``commutator``, ``anticommutator``, and ``deposit_product``
-for the suite's chains and the grammar's sums) put every part into one
-accumulator, so parts that cancel do so before any cross-denominator sum.
-This module keeps the operator keys, the group moves and the Leibniz grid.
-``OpExpr`` is the top of the ``RingElement`` tower: ``op_coeff`` lifts
-anything that lifts to a ``Coefficient``, and the operators come from the
-base, which keeps a reflected product in order (``c * x`` is
-``op_coeff(c) * x``).
+sums of products (``commutator``, and ``deposit_product`` for the suite's
+chains and the grammar's sums) put every part into one accumulator, so
+parts that cancel do so before any cross-denominator sum.  This module
+keeps the operator keys, the group moves and the Leibniz grid.  ``OpExpr``
+is the top of the ``RingElement`` tower: ``op_coeff`` lifts anything that
+lifts to a ``Coefficient``, and the operators come from the base, which
+keeps a reflected product in order (``c * x`` is ``op_coeff(c) * x``).
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -56,7 +55,7 @@ from .errors import AlgebraError, FieldError
 __all__ = [
     "OpExpr", "op_zero", "op_one", "op_coeff", "op_param",
     "op_r", "op_dr", "op_dphi", "op_R", "op_I",
-    "commutator", "anticommutator", "op_sum", "op_product",
+    "commutator", "op_sum", "op_product",
     "accumulate", "deposit", "deposit_product", "settle",
 ]
 
@@ -313,12 +312,6 @@ def commutator(x: OpExpr, y: OpExpr) -> OpExpr:
     """x y - y x, both orders summed in one accumulator."""
     acc = accumulate({}, x, y)
     return settle(x.ctx, accumulate(acc, y, x, -1))
-
-
-def anticommutator(x: OpExpr, y: OpExpr) -> OpExpr:
-    """x y + y x, both orders summed in one accumulator."""
-    acc = accumulate({}, x, y)
-    return settle(x.ctx, accumulate(acc, y, x))
 
 
 def op_sum(ctx: FieldCtx, parts) -> OpExpr:

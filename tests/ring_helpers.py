@@ -1,9 +1,10 @@
 """Readers and builders of coefficient-ring values that only the tests use:
 a float evaluation of a ``ZRat``, a ``ZRat`` from polynomial coefficients,
-and the exponent ranges of a ``Coefficient``."""
+the exponent ranges of a ``Coefficient``, and the two-step reference for
+``ZRat.conj``."""
 
-from dunklops.coeffring import ATOM_Z, ZRat
-from dunklops.cyclofield import CycloScalar
+from dunklops.coeffring import ATOM_Z, ZRat, _den_tuple
+from dunklops.cyclofield import CycloScalar, canon_row
 
 
 def zrat_eval(f: ZRat, zval: complex) -> complex:
@@ -41,3 +42,13 @@ def coefficient_degrees(c) -> dict:
         out["b"] = max(out["b"], b)
         out["w2"] = max(out["w2"], g)
     return out
+
+
+def zrat_conj_reference(f: ZRat) -> ZRat:
+    """f.conj() as two steps: the Galois conjugation sigma_{-1}, which maps
+    each atom z^d - zeta^s to z^d - zeta^-s, then ``reflect``."""
+    ctx = f.ctx
+    num = tuple(canon_row(ctx.galois_row(-1, row)) for row in f.num)
+    den = {(atom if atom == ATOM_Z else (atom[0], -atom[1] % ctx.N)): mult
+           for atom, mult in f.den}
+    return ZRat(ctx, num, _den_tuple(den)).reflect()

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from dunklops._rat import RAT
-from dunklops.builders import (MUTATIONS, build_counterterm, build_Dphi,
+from dunklops.builders import (build_counterterm, build_Dphi,
                                build_Dphi_squared_expanded, build_Dr,
                                explicit_k2_counterterm, explicit_k2_Dphi,
                                explicit_k2_Dphi_squared, explicit_k2_Dr,
@@ -106,9 +106,10 @@ def test_criterion_3_oracle_shadow(shadowed_suite):
 def test_criterion_4_mutations_flip_their_targets():
     with criterion(4, "seeded defects flip the targeted checks both ways,"
                       " >= 95% of trials over tolerance"):
-        jobs = [("b-shift", 3), ("dr-drop", 4)]
-        for mutation, k in jobs:
-            targets = MUTATIONS[mutation].targets
+        # each seeded defect, its k and the checks it must fail
+        jobs = [("b-shift", 3, ("dphi_squared", "dphi_props")),
+                ("dr-drop", 4, ("dr_props", "dr_dphi_commutator"))]
+        for mutation, k, targets in jobs:
             failing = {r.check_id.split("[")[0]
                        for r in run_suite([k], mutation=mutation)
                        if r.status == "fail"}

@@ -155,14 +155,8 @@ def test_unknown_mutation_rejected():
 
 
 def test_mutation_registry_metadata():
-    from dunklops.identities import CHECK_IDS
-    assert set(MUTATIONS) == {"b-shift", "dr-drop"}
-    for name, mut in MUTATIONS.items():
-        assert mut.name == name
-        assert mut.description
-        assert mut.targets
-        for target in mut.targets:
-            assert target in CHECK_IDS
+    # the checks each defect must fail live in the tests that assert them
+    assert MUTATIONS == ("b-shift", "dr-drop")
 
 
 def test_b_shift_changes_exactly_one_summand():

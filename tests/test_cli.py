@@ -520,6 +520,21 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_a_closed_stdout_leaks_no_descriptor(monkeypatch):
+    # in process, as a long-lived caller of main sees it: each stdout whose
+    # reader is gone is sent to devnull, and no descriptor may stay open
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["norm", "--k", "2", "dr"]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 # Names, literals and trig sugar of the grammar, plus a few tokens that are
 # valid only in other places, so that error paths are drawn too.
 _LEAVES = ("a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S",

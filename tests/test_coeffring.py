@@ -16,7 +16,8 @@ from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _zp_mul, _zp_neg, _zp_shift, trig)
 from dunklops.cyclofield import CycloScalar, binary_power, ctx_new
 from dunklops.errors import CoeffError, FieldError, ScalarInversionError
-from ring_helpers import coefficient_degrees, zrat_eval, zrat_from_poly
+from ring_helpers import (coefficient_degrees, zrat_conj_reference,
+                          zrat_eval, zrat_from_poly)
 
 # real-valued reference implementations of each constructor, by kind
 _REFS = {
@@ -150,6 +151,25 @@ def test_conjugation_fixes_real_functions():
     assert trig(ctx, "tan_k").conj() == trig(ctx, "tan_k")
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_conj_is_the_galois_conjugate_reflected(k):
+    # every trig kind at every distinct shift, their sums and products, and
+    # non-real multiples
+    ctx = ctx_new(k)
+    rng = random.Random(2900 + k)
+    values = [trig(ctx, kind, j) for kind in TRIG_KINDS
+              if not (kind.startswith("half_") and k % 2)
+              for j in (range(k) if kind.endswith("_shift") else [0])]
+    pairs = [(x, rng.choice(values)) for x in values]
+    pool = (values + [x + y for x, y in pairs] + [x * y for x, y in pairs]
+            + [x * ctx.root_power(1) + ZRat.z_power(ctx, -1) for x in values]
+            + [ZRat(ctx, (), ()), ZRat.const(ctx, ctx.root_power(1))])
+    for f in pool:
+        got, want = f.conj(), zrat_conj_reference(f)
+        assert _exact(got.num) == _exact(want.num), f
+        assert got.den == want.den, f
+
+
 def _group_words(ctx, rng, f):
     """Random walk over the action generators, checking composition laws."""
     two_k = 2 * ctx.k
@@ -246,6 +266,25 @@ def test_factor_unit_binomial_roundtrip():
     with pytest.raises(CoeffError):
         # z^4 + z^3 + z^2 + z + 1 has no root in Q(zeta_12)
         _monic_atoms(ctx, list((ZRat.z_power(ctx, 5) - 1).num))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_trig_reads_the_atoms_the_full_search_finds(k):
+    """Each table row built by trial division of den(z^w) by every atom and
+    a full reduction, then shifted: the same rows, coordinate types
+    included, and the same atoms as ``trig``'s."""
+    ctx = ctx_new(k)
+    for kind in TRIG_KINDS:
+        if kind.startswith("half_") and k % 2:
+            continue
+        angle, num, den = coeffring._TRIG_TABLE[kind]
+        w = 1 if angle == "phi" else k
+        at_0 = ZRat._make(ctx, coeffring._w_rows(ctx, num, w),
+                          _monic_atoms(ctx, coeffring._w_rows(ctx, den, w)))
+        for j in range(2 * k if kind.endswith("_shift") else 1):
+            got, want = trig(ctx, kind, j), at_0.rotate_n(j)
+            assert _exact(got.num) == _exact(want.num), (kind, j)
+            assert got.den == want.den, (kind, j)
 
 
 def test_inv_splits_the_numerator_into_unit_and_atoms():

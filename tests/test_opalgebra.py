@@ -14,11 +14,17 @@ from dunklops.coeffring import Coefficient, ZRat, _den_tuple, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
 from dunklops.exprparse import parse_op
-from dunklops.opalgebra import (OpExpr, accumulate, anticommutator,
-                                commutator, deposit_product, op_I, op_R,
-                                op_coeff, op_dphi, op_dr, op_one, op_param,
-                                op_product, op_r, op_sum, op_zero, settle)
+from dunklops.opalgebra import (OpExpr, accumulate, commutator,
+                                deposit_product, op_I, op_R, op_coeff,
+                                op_dphi, op_dr, op_one, op_param, op_product,
+                                op_r, op_sum, op_zero, settle)
 from ring_helpers import zrat_from_poly
+
+
+def anticommutator(x, y):
+    """x y + y x, both orders summed in one accumulator."""
+    return settle(x.ctx, accumulate(accumulate({}, x, y), y, x))
+
 
 # ---------------------------------------------------------------------------
 # normal ordering

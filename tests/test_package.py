@@ -1,5 +1,6 @@
-"""The package's public surface: its exports, the README's examples and
-the one module boundary its sources keep."""
+"""The package's public surface: its exports, the README's examples, the
+one module boundary its sources keep, and that its sources use every public
+function and method they define."""
 
 import ast
 import doctest
@@ -66,3 +67,56 @@ def test_only_opalgebra_imports_private_names_from_coeffring():
                     if alias.name.startswith("_"))
     private = {stem: names for stem, names in importers.items() if names}
     assert set(private) == {"opalgebra"}, private
+
+
+def _is_docstring(node) -> bool:
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _surface(path, tree) -> list:
+    """The nodes that state the surface rather than use it: docstrings,
+    ``__all__`` and the package's re-exports."""
+    out = [node.body[0] for node in ast.walk(tree)
+           if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+           and node.body and _is_docstring(node.body[0])]
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            out.append(node)
+        elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+            out.append(node)
+    return out
+
+
+def test_every_public_function_and_method_is_used_in_src():
+    # A use is a name, an attribute, an import or an identifier string (an
+    # Assembly's member name, say) anywhere in src outside the surface.
+    public, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                public.append(node.name)
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                public.extend(f"{node.name}.{item.name}" for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and item.name[0] != "_")
+        skip = {id(n) for top in _surface(path, tree) for n in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                used.add(node.value)
+    unused = [name for name in public
+              if name.rpartition(".")[2] not in used]
+    assert not unused, unused
