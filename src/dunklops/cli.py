@@ -285,12 +285,17 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader closed stdout (``| head``): send what is still buffered
-        # to devnull, so that the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
+        # the reader closed stdout (``| head``): flush what is still buffered
+        # into devnull, so that the flush at exit cannot fail again, then
+        # give the descriptor its pipe back, so a later call fails as well
+        fd = sys.stdout.fileno()
+        saved, devnull = os.dup(fd), os.open(os.devnull, os.O_WRONLY)
         try:
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, fd)
+            sys.stdout.flush()
         finally:
+            os.dup2(saved, fd)
+            os.close(saved)
             os.close(devnull)
         return 1
     except ParseError as exc:

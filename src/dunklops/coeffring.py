@@ -66,10 +66,11 @@ oscillator frequency w2, with ZRat values:
 
     terms : (m, alpha, beta, gamma) -> ZRat     # r^m a^alpha b^beta w2^gamma
 
-Both are ``RingElement`` types: each gives its sum, product, negation, zero
-test and canonical data, and lifts a value of the level below (``ZRat.const``
-a scalar, ``Coefficient.monomial`` anything that lifts to a ``ZRat``); the
-operators and the context check come from the base.
+``ZRat`` is a ``FieldElement`` and ``Coefficient`` a ``TermMap``: each gives
+its sum and product and lifts a value of the level below (``ZRat.const`` a
+scalar, ``Coefficient.monomial`` anything that lifts to a ``ZRat``); the
+operators, the context check, and for a ``Coefficient`` the term dict, come
+from the bases.
 
 The dihedral actions and the angular derivation are methods on both levels:
 
@@ -81,11 +82,11 @@ The dihedral actions and the angular derivation are methods on both levels:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
-from ._rat import RAT
-from .cyclofield import (CycloScalar, FieldCtx, RingElement, binary_power,
-                         canon_row)
+from .cyclofield import (CycloScalar, FieldCtx, FieldElement, TermMap,
+                         binary_power, canon_row)
 from .errors import CoeffError, ScalarInversionError
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _cancel(ctx: FieldCtx, num, den) -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
-class ZRat(RingElement):
+class ZRat(FieldElement):
     """A rational function of z over Q(zeta_N), in canonical reduced form."""
 
     __slots__ = ("num", "den")
@@ -413,14 +414,6 @@ class ZRat(RingElement):
         # The old numerator is coprime to the old denominator, which becomes
         # the new numerator, so no atom can cancel.
         return ZRat(ctx, tuple(num), _den_tuple(atoms))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -625,7 +618,7 @@ def trig(ctx: FieldCtx, kind: str, j: int = 0) -> ZRat:
 # ---------------------------------------------------------------------------
 
 
-class Coefficient(RingElement):
+class Coefficient(TermMap):
     """Operator coefficient c(r, phi; a, b, w2).
 
     Immutable mapping (m, alpha, beta, gamma) -> ZRat.  The builders only ever
@@ -633,12 +626,7 @@ class Coefficient(RingElement):
     operators (checked in tests), not an enforced bound.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, ctx: FieldCtx, terms: dict):
-        self.ctx = ctx
-        self.terms = terms
-        self._hash = None
+    __slots__ = ()
 
     @staticmethod
     def one(ctx: FieldCtx) -> "Coefficient":
@@ -653,30 +641,11 @@ class Coefficient(RingElement):
 
     _embed = monomial
 
-    def _unembed(self):
-        if not self.terms:
-            return 0
-        return self.terms.get((0, 0, 0, 0)) if len(self.terms) == 1 else None
-
-    # -- structure -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _data(self) -> frozenset:
-        return frozenset(self.terms.items())
-
-    def items(self):
-        return sorted(self.terms.items())
-
     # -- ring operations ---------------------------------------------------------
 
     def _add(self, o):
         return _settle_monos(self.ctx, _deposit_coefficient(
             _deposit_coefficient({}, self), o))
-
-    def __neg__(self):
-        return Coefficient(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def _mul(self, o):
         return _settle_monos(self.ctx, _deposit_products(
@@ -796,7 +765,7 @@ def _deposit_product(ctx: FieldCtx, monos: dict, mono: tuple, z1: ZRat,
         _deposit(ctx, monos, mono, zr.den, zr.num, factor, unit)
     else:
         c = unit[0] * factor
-        if type(c) is RAT and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             c = c.numerator
         _deposit(ctx, monos, mono, zr.den, zr.num, c)
 

@@ -6,7 +6,7 @@ together with the imaginary unit this forces the scalar field Q(zeta_N) with
 N = lcm(4, 2k).  Scalars are stored on the power basis 1, zeta, ...,
 zeta^{deg-1} modulo the N-th cyclotomic polynomial, with exact rational
 coordinates: a Python ``int`` wherever the coordinate is integral, which is
-nearly always, and a ``RAT`` only where a division made it a proper
+nearly always, and a ``Fraction`` only where a division made it a proper
 fraction.
 
 Q(zeta_N) is Galois over Q with group (Z/N)^*, sigma_j: zeta -> zeta^j, and
@@ -17,7 +17,11 @@ the norm: 1/x = prod_{j != 1} sigma_j(x) / N(x).
 ``RingElement`` states the ring protocol once for the package's four exact
 types, ``CycloScalar`` at the bottom and ``ZRat``, ``Coefficient`` and
 ``OpExpr`` above it: the lifting chain down the tower, ``+``, ``-``, ``*``,
-their reflections, ``==``, ``hash`` and ``bool``.
+their reflections, ``==``, ``hash`` and ``bool``.  Two kinds of level derive
+from it.  A ``FieldElement`` (``CycloScalar`` and ``ZRat``) has an ``inv``,
+and ``/`` is multiplication by it.  A ``TermMap`` (``Coefficient`` and
+``OpExpr``) is a finite sum of terms over the level below, a dict from
+monomial keys to nonzero values, and has no ``/``.
 
     >>> ctx = ctx_new(3)                 # k = 3 -> N = 12, degree phi(12) = 4
     >>> ctx.N, ctx.deg
@@ -34,8 +38,8 @@ import cmath
 import functools
 import math
 import os
+from fractions import Fraction
 
-from ._rat import RAT
 from .errors import FieldError, ScalarInversionError
 
 DEFAULT_MAX_K = 12
@@ -252,15 +256,15 @@ def _ctx_cached(k: int) -> FieldCtx:
 
 
 def _coord(c):
-    """One coordinate in canonical form: an int if integral, else a RAT."""
-    if type(c) is not RAT:
-        c = RAT(c)
+    """A coordinate in canonical form: an int if integral, else a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def canon_row(row) -> tuple:
     """A coordinate row in canonical form, as a tuple: each coordinate an
-    ``int`` where it is integral and a ``RAT`` only for a proper fraction."""
+    ``int`` where integral and a ``Fraction`` only for a proper fraction."""
     for c in row:
         if type(c) is not int:
             return tuple(map(_coord, row))
@@ -367,7 +371,57 @@ class RingElement:
         return not self.is_zero()
 
 
-class CycloScalar(RingElement):
+class FieldElement(RingElement):
+    """A level that is a field: Q(zeta_N) or Q(zeta_N)(z).  Each supplies
+    ``inv``, and ``x / y`` is ``x * y.inv()``, ``c / x`` ``lift(c) * x.inv()``,
+    so a wrapper on ``__mul__`` sees every quotient."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inv()
+
+
+class TermMap(RingElement):
+    """A finite sum of terms over the level below: ``terms`` maps a monomial
+    key to a nonzero value of that level, and the unit sits at the key
+    (0, 0, 0, 0) on both such levels, ``Coefficient`` over ``ZRat`` and
+    ``OpExpr`` over ``Coefficient``.  Each supplies ``_embed``, ``_add`` and
+    ``_mul``; this class gives the rest of the ring protocol, and ``items``,
+    the terms in key order.  The dict is never mutated once built."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, ctx: FieldCtx, terms: dict):
+        self.ctx = ctx
+        self.terms = terms
+        self._hash = None
+
+    def _unembed(self):
+        if not self.terms:
+            return 0
+        return self.terms.get((0, 0, 0, 0)) if len(self.terms) == 1 else None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _data(self) -> frozenset:
+        return frozenset(self.terms.items())
+
+    def items(self):
+        """The terms in key order."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+    def __neg__(self):
+        return type(self)(self.ctx, {key: -v for key, v in self.terms.items()})
+
+
+class CycloScalar(FieldElement):
     """An element of Q(zeta_N) on the power basis.  Immutable.
 
     Supports +, -, *, / with other scalars of the same context and with
@@ -375,8 +429,8 @@ class CycloScalar(RingElement):
     embedding via ``complex(x)``.
 
     The coordinates are stored as a ``canon_row``, whatever the caller
-    passed; since ``RAT(n) == n`` and ``hash(RAT(n)) == hash(n)``, equality
-    and hashing are unaffected.
+    passed; since ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``,
+    equality and hashing are unaffected.
     """
 
     __slots__ = ("coeffs",)
@@ -388,7 +442,7 @@ class CycloScalar(RingElement):
 
     @staticmethod
     def _embed(ctx: FieldCtx, x) -> "CycloScalar":
-        if isinstance(x, int) or type(x) is RAT:
+        if isinstance(x, int) or type(x) is Fraction:
             return CycloScalar(ctx, (x,) + (0,) * (ctx.deg - 1))
         raise TypeError(f"cannot lift a {type(x).__name__} into an exact ring")
 
@@ -438,7 +492,7 @@ class CycloScalar(RingElement):
         if self.is_zero():
             raise ScalarInversionError("inversion of the zero scalar")
         if self.is_rational():
-            return self.ctx.scalar(1 / RAT(self.coeffs[0]))
+            return self.ctx.scalar(1 / Fraction(self.coeffs[0]))
         ctx = self.ctx
         d = math.lcm(*(c.denominator for c in self.coeffs))
         x = canon_row([c * d for c in self.coeffs])
@@ -447,15 +501,7 @@ class CycloScalar(RingElement):
             if math.gcd(j, ctx.N) == 1:
                 rest = ctx.mul_rows(rest, ctx.galois_row(j, x))
         norm = ctx.mul_rows(x, rest)[0]
-        return CycloScalar(ctx, tuple(RAT(c * d, norm) for c in rest))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inv()
+        return CycloScalar(ctx, tuple(Fraction(c * d, norm) for c in rest))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -46,8 +46,8 @@ True
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-from ._rat import RAT
 from .builders import build_S
 from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
@@ -202,8 +202,8 @@ class _Parser:
                 den = self.expect("int")[1]
                 if den == 0:
                     self.fail("zero denominator", pos)
-                return ("rat", RAT(value, den), pos)
-            return ("rat", RAT(value), pos)
+                return ("rat", Fraction(value, den), pos)
+            return ("rat", Fraction(value), pos)
         if kind == "word" and value in _TRIG_SUGAR:
             self.advance()
             self.expect("sym", "(")

@@ -18,9 +18,9 @@ sums of products (``commutator``, and ``deposit_product`` for the suite's
 chains and the grammar's sums) put every part into one accumulator, so
 parts that cancel do so before any cross-denominator sum.  This module
 keeps the operator keys, the group moves and the Leibniz grid.  ``OpExpr``
-is the top of the ``RingElement`` tower: ``op_coeff`` lifts anything that
-lifts to a ``Coefficient``, and the operators come from the base, which
-keeps a reflected product in order (``c * x`` is ``op_coeff(c) * x``).
+is the top ``TermMap`` of the tower: ``op_coeff`` lifts anything that lifts
+to a ``Coefficient``, and the operators come from the base, which keeps a
+reflected product in order (``c * x`` is ``op_coeff(c) * x``).
 
 Adjoints are taken for the inner product with weight r dr dphi on the
 punctured plane:
@@ -49,7 +49,7 @@ from operator import mul
 
 from .coeffring import (Coefficient, ZRat, _deposit_coefficient,
                         _deposit_products, _settle_monos)
-from .cyclofield import FieldCtx, RingElement, binary_power, ctx_new
+from .cyclofield import FieldCtx, TermMap, binary_power, ctx_new
 from .errors import AlgebraError, FieldError
 
 __all__ = [
@@ -60,36 +60,19 @@ __all__ = [
 ]
 
 
-class OpExpr(RingElement):
+class OpExpr(TermMap):
     """A normal-ordered differential--difference operator."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, ctx: FieldCtx, terms: dict):
-        self.ctx = ctx
-        self.terms = terms
-        self._hash = None
+    __slots__ = ()
 
     @staticmethod
     def _embed(ctx: FieldCtx, c) -> "OpExpr":
         return op_coeff(ctx, c)
 
-    _unembed = Coefficient._unembed     # both keep the unit at (0, 0, 0, 0)
-
     # -- structure -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _data(self) -> frozenset:
-        return frozenset(self.terms.items())
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def items(self):
-        """Terms in the canonical (p, q, i, e) order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def max_orders(self) -> tuple[int, int]:
         """Highest (dr, dphi) orders present."""
@@ -101,9 +84,6 @@ class OpExpr(RingElement):
 
     def _add(self, o):
         return settle(self.ctx, deposit(deposit({}, self), o))
-
-    def __neg__(self):
-        return OpExpr(self.ctx, {key: -c for key, c in self.terms.items()})
 
     def _mul(self, o):
         return settle(self.ctx, accumulate({}, self, o))

@@ -8,10 +8,10 @@ import contextlib
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from dunklops._rat import RAT
 from dunklops.builders import (build_counterterm, build_Dphi,
                                build_Dphi_squared_expanded, build_Dr,
                                explicit_k2_counterterm, explicit_k2_Dphi,
@@ -155,7 +155,7 @@ def _operator_pool(ctx, rng):
         op_coeff(ctx, trig(ctx, "tan_shift", rng.randrange(ctx.k))),
         op_coeff(ctx, trig(ctx, "csc2_shift", rng.randrange(ctx.k))),
         op_coeff(ctx, ctx.imag_unit()),
-        op_coeff(ctx, RAT(rng.randint(-5, 5), rng.randint(1, 4))),
+        op_coeff(ctx, Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
         op_coeff(ctx, ZRat.z_power(ctx, rng.choice([-2, 1, 3]))),
     ]
 
@@ -205,7 +205,7 @@ def test_criterion_7_scalar_field_behaves():
             ctx = FieldCtx(k)
 
             def draw():
-                coeffs = [RAT(rng.randint(-6, 6), rng.randint(1, 4))
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                           for _ in range(ctx.deg)]
                 return CycloScalar(ctx, tuple(coeffs))
 

@@ -535,6 +535,18 @@ def test_a_closed_stdout_leaks_no_descriptor(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+def test_every_call_on_a_closed_stdout_exits_1(monkeypatch):
+    # one stdout whose reader is gone, reused by three calls in one process:
+    # only the bytes pending at the failure go to devnull, and the
+    # descriptor keeps its pipe, so each call sees the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        codes = [main(["norm", "--k", "2", "dr"]) for _ in range(3)]
+    assert codes == [1, 1, 1]
+
+
 # Names, literals and trig sugar of the grammar, plus a few tokens that are
 # valid only in other places, so that error paths are drawn too.
 _LEAVES = ("a", "b", "w2", "r", "z", "zeta", "i", "dr", "dphi", "R", "I", "S",

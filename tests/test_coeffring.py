@@ -3,12 +3,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dunklops._rat import RAT
 from dunklops import coeffring
 from dunklops.coeffring import (ATOM_Z, TRIG_KINDS, Coefficient, ZRat,
                                 _atom_degree, _atom_product, _divmod_atom,
@@ -196,7 +196,7 @@ def test_dihedral_action_composition():
         ctx = ctx_new(k)
         pool = [trig(ctx, "tan_shift", 0), trig(ctx, "csc2_shift", 0),
                 ZRat.z_power(ctx, 3),
-                trig(ctx, "sec_k") + ZRat.const(ctx, RAT(1, 2))]
+                trig(ctx, "sec_k") + ZRat.const(ctx, Fraction(1, 2))]
         for f in pool:
             for _ in range(10):
                 g, expect = _group_words(ctx, rng, f)
@@ -292,7 +292,7 @@ def test_inv_splits_the_numerator_into_unit_and_atoms():
     x = zrat_from_poly(ctx, [2, 0, 2])        # 2 z^2 + 2 = 2 (z-i)(z+i)
     y = x.inv()
     assert y.den == ((("lin", 1), 1), (("lin", 3), 1))   # (z-zeta)(z-zeta^3)
-    assert y.num == (ctx.scalar(RAT(1, 2)).coeffs,)
+    assert y.num == (ctx.scalar(Fraction(1, 2)).coeffs,)
     assert x * y == ZRat.const(ctx, 1)
 
 
@@ -348,8 +348,8 @@ def test_product_skips_the_atoms_both_denominators_share(monkeypatch):
 def _constants(ctx):
     """The unit, a rational, i, zeta^j, 1 + i and zero, as ZRat constants."""
     ii = ctx.imag_unit()
-    values = [1, RAT(-7, 3), ii, ctx.root_power(1), ctx.root_power(ctx.N - 1),
-              ctx.one() + ii, 0]
+    values = [1, Fraction(-7, 3), ii, ctx.root_power(1),
+              ctx.root_power(ctx.N - 1), ctx.one() + ii, 0]
     return [ZRat.const(ctx, v) for v in values]
 
 
@@ -368,7 +368,7 @@ def test_constants_take_the_short_paths(k):
     one = ZRat.const(ctx, 1)
     others = [trig(ctx, "tan_shift", 0), trig(ctx, "csc2_shift", k - 1),
               trig(ctx, "sec_k"), ZRat.z_power(ctx, -2),
-              zrat_from_poly(ctx, [RAT(1, 3), 0, ctx.imag_unit()])]
+              zrat_from_poly(ctx, [Fraction(1, 3), 0, ctx.imag_unit()])]
     consts = _constants(ctx)
     for x in others + consts:
         assert x * one is x and one * x == x
@@ -382,7 +382,8 @@ def test_constants_take_the_short_paths(k):
         assert c.d_phi() == ZRat.const(ctx, 0)
         assert c.conj() == ZRat.const(ctx, CycloScalar(ctx, c.num[0]).conj()
                                       if c.num else 0)
-    assert ZRat.const(ctx, RAT(-7, 3)).conj() == ZRat.const(ctx, RAT(-7, 3))
+    third = ZRat.const(ctx, Fraction(-7, 3))
+    assert third.conj() == third
     for x in others:
         assert not x.is_const()
         for c in consts:
@@ -515,8 +516,8 @@ def _rows(poly):
 
 
 def _exact(poly):
-    """Coordinates with their types: int and RAT must agree as well.  Takes
-    rows or scalars."""
+    """Coordinates with their types: int and Fraction must agree as well.
+    Takes rows or scalars."""
     if poly is None:
         return None
     return [tuple((type(v), v) for v in getattr(c, "coeffs", c))
@@ -525,7 +526,7 @@ def _exact(poly):
 
 _COORD = st.one_of(
     st.just(0), st.just(0), st.integers(-40, 40),
-    st.builds(RAT, st.integers(-9, 9), st.integers(1, 6)))
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
 
 
 def _draw_poly(data, ctx, min_size=0, max_size=6):
@@ -612,8 +613,8 @@ def test_kernels_match_the_scalar_reference(k, data):
 def _leaves(ctx, data):
     """Trig kinds at every shift, negative powers of z, constants and
     polynomials, two of them with rational coordinates."""
-    out = [zrat_from_poly(ctx, [RAT(1, 3), 0, RAT(4, 2)]),
-           zrat_from_poly(ctx, [0, RAT(-2, 3) * ctx.root_power(1)])]
+    out = [zrat_from_poly(ctx, [Fraction(1, 3), 0, Fraction(4, 2)]),
+           zrat_from_poly(ctx, [0, Fraction(-2, 3) * ctx.root_power(1)])]
     for kind in TRIG_KINDS:
         if kind.startswith("half_") and ctx.k % 2:
             continue
@@ -636,7 +637,8 @@ def _assert_canonical(f):
     back."""
     for row in f.num:
         assert len(row) == f.ctx.deg, (f, row)
-        assert all(type(v) is int or (type(v) is RAT and v.denominator != 1)
+        assert all(type(v) is int
+                   or (type(v) is Fraction and v.denominator != 1)
                    for v in row), (f, row)
     assert not f.num or any(f.num[-1]), f
     for atom, _ in f.den:

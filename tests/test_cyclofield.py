@@ -3,12 +3,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklops._rat import RAT
 from dunklops.cyclofield import (CycloScalar, FieldCtx, ctx_new,
                                  cyclotomic_poly)
 from dunklops.errors import FieldError, ScalarInversionError
@@ -18,7 +18,7 @@ ALL_N = sorted({math.lcm(4, 2 * k) for k in ALL_K})
 
 
 def rand_scalar(ctx, rng, span=6):
-    coeffs = [RAT(rng.randint(-span, span), rng.randint(1, 4))
+    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 4))
               for _ in range(ctx.deg)]
     return CycloScalar(ctx, tuple(coeffs))
 
@@ -151,9 +151,9 @@ def test_field_axioms_hypothesis(k, data):
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     triple = st.tuples(*[st.tuples(*[coeff] * ctx.deg)] * 3)
     xs, ys, zs = data.draw(triple)
-    x = CycloScalar(ctx, tuple(RAT(c) for c in xs))
-    y = CycloScalar(ctx, tuple(RAT(c) for c in ys))
-    z = CycloScalar(ctx, tuple(RAT(c) for c in zs))
+    x = CycloScalar(ctx, tuple(Fraction(c) for c in xs))
+    y = CycloScalar(ctx, tuple(Fraction(c) for c in ys))
+    z = CycloScalar(ctx, tuple(Fraction(c) for c in zs))
     assert (x + y) * z == x * z + y * z
     assert (x - y) + y == x
     if not y.is_zero():
@@ -212,7 +212,8 @@ def test_coordinates_are_int_or_exact_rational():
     """Integral coordinates are stored as ints, whatever the caller passed;
     inverses of integer scalars are exact rationals, never floats."""
     ctx = ctx_new(3)
-    from_rat = CycloScalar(ctx, (RAT(2),) + (RAT(0),) * (ctx.deg - 1))
+    from_rat = CycloScalar(ctx,
+                           (Fraction(2),) + (Fraction(0),) * (ctx.deg - 1))
     from_int = ctx.scalar(2)
     assert from_rat == from_int
     assert hash(from_rat) == hash(from_int)
@@ -222,12 +223,12 @@ def test_coordinates_are_int_or_exact_rational():
     # 1 + zeta is a unit of Z[zeta_12]; 2 + zeta has norm Phi_12(-2) = 13
     for x in (ctx.scalar(3), ctx.one() + zeta, ctx.scalar(2) + zeta):
         y = x.inv()
-        assert all(type(c) in (int, RAT) for c in y.coeffs), y.coeffs
+        assert all(type(c) in (int, Fraction) for c in y.coeffs), y.coeffs
         assert all(c.denominator != 1 for c in y.coeffs
-                   if type(c) is RAT), y.coeffs
+                   if type(c) is Fraction), y.coeffs
         assert x * y == ctx.one()
         assert all(type(c) is int for c in (x * y).coeffs)
-    assert ctx.scalar(3).inv().coeffs[0] == RAT(1, 3)
+    assert ctx.scalar(3).inv().coeffs[0] == Fraction(1, 3)
     assert all(type(c) is int for c in (ctx.one() + zeta).inv().coeffs)
     assert all(c.denominator == 13 for c in (ctx.scalar(2) + zeta).inv().coeffs
                if c)

@@ -1,9 +1,10 @@
 """The identity suite: registry, reports, gating, filters, mutations."""
 
+from fractions import Fraction
+
 import pytest
 
 from dunklops import identities
-from dunklops._rat import RAT
 from dunklops.builders import MUTATIONS
 from dunklops.coeffring import Coefficient, ZRat, _den_tuple, trig
 from dunklops.errors import AlgebraError
@@ -318,7 +319,7 @@ def _reference_trig(ctx, check_id, row_id):
 
 def _assert_canonical(zr):
     assert not zr.num or any(zr.num[-1]), zr
-    assert all(type(v) is int or (type(v) is RAT and v.denominator != 1)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                for row in zr.num for v in row), zr
     assert zr.den == _den_tuple(dict(zr.den)), zr
     assert zr == ZRat._make(zr.ctx, list(zr.num), dict(zr.den)), zr
