@@ -15,10 +15,6 @@ Every operator the verification suite talks about is built here, for any
                   weighted chains (an ``Assembly``) that the exact side sums
                   and the oracle applies
 
-``explicit_k3_*`` and ``explicit_k2_*`` are the same operators written out
-summand by summand for those two k values, used to cross-check the general
-constructors term-for-term.
-
 Builders accept either a FieldCtx or a bare integer k.  ``MUTATIONS`` names
 two single-coefficient defects for fail-path testing of the verification
 suite; they must never be used for anything else:
@@ -37,16 +33,12 @@ from .coeffring import Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import AlgebraError
 from .opalgebra import (OpExpr, deposit, deposit_product, op_I, op_R,
-                        op_coeff, op_dphi, op_dr, op_one, op_product, op_sum,
-                        settle)
+                        op_coeff, op_dr, op_one, op_product, op_sum, settle)
 
 __all__ = [
     "build_S", "build_Dr", "build_Dphi",
     "build_Hk", "build_Xk", "build_extended_Hk", "build_counterterm",
     "build_reflection_tail", "build_Dphi_squared_expanded",
-    "explicit_k3_Dr", "explicit_k3_Dphi", "explicit_k3_Dphi_squared",
-    "explicit_k3_counterterm", "explicit_k2_Dr", "explicit_k2_Dphi",
-    "explicit_k2_Dphi_squared", "explicit_k2_counterterm",
     "OPERATORS", "MUTATIONS", "OperatorSet", "Assembly",
 ]
 
@@ -380,103 +372,6 @@ class OperatorSet:
             (0, 1, 1, 0): ZRat.const(self.ctx, 2) * k2,
             (0, 0, 2, 0): ZRat.const(self.ctx, 1) * k2,
         }))
-
-
-# -- explicit low-k transcriptions ------------------------------------------------
-# The k=3 and k=2 operators written out summand by summand, used to check the
-# general constructors against the concrete low-order forms.
-
-
-def explicit_k3_Dr() -> OpExpr:
-    ctx = ctx_new(3)
-    dr = op_dr(ctx)
-    inv_r = op_coeff(ctx, Coefficient.monomial(ctx, m=-1))
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    group = (a * op_R(ctx) + b) * (op_one(ctx) + op_R(ctx, 2) + op_R(ctx, 4))
-    return dr - inv_r * group * op_I(ctx)
-
-
-def explicit_k3_Dphi() -> OpExpr:
-    ctx = ctx_new(3)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    t = [op_coeff(ctx, trig(ctx, "tan_shift", j)) for j in range(3)]
-    c = [op_coeff(ctx, trig(ctx, "cot_shift", j)) for j in range(3)]
-    tan_part = t[0] * op_R(ctx, 3) + t[1] * op_R(ctx, 5) + t[2] * op_R(ctx, 1)
-    cot_part = c[0] + c[1] * op_R(ctx, 2) + c[2] * op_R(ctx, 4)
-    return (op_dphi(ctx) + a * tan_part * op_I(ctx)
-            - b * cot_part * op_I(ctx))
-
-
-def explicit_k3_counterterm() -> OpExpr:
-    ctx = ctx_new(3)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    quad = a * a + b * b + 2 * a * b * op_R(ctx)
-    return 3 * quad * (op_one(ctx) + op_R(ctx, 2) + op_R(ctx, 4))
-
-
-def explicit_k3_Dphi_squared() -> OpExpr:
-    ctx = ctx_new(3)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    total = op_dphi(ctx) * op_dphi(ctx)
-    tan_groups = [op_R(ctx, 3), op_R(ctx, 5), op_R(ctx, 1)]
-    for j in range(3):
-        s2 = op_coeff(ctx, trig(ctx, "sec2_shift", j))
-        total = total - s2 * a * (a - tan_groups[j] * op_I(ctx))
-    cot_groups = [op_one(ctx), op_R(ctx, 2), op_R(ctx, 4)]
-    for j in range(3):
-        c2 = op_coeff(ctx, trig(ctx, "csc2_shift", j))
-        total = total - c2 * b * (b - cot_groups[j] * op_I(ctx))
-    return total + explicit_k3_counterterm()
-
-
-def explicit_k2_Dr() -> OpExpr:
-    ctx = ctx_new(2)
-    inv_r = op_coeff(ctx, Coefficient.monomial(ctx, m=-1))
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    group = (a * op_R(ctx) + b) * (op_one(ctx) + op_R(ctx, 2))
-    return op_dr(ctx) - inv_r * group * op_I(ctx)
-
-
-def explicit_k2_Dphi() -> OpExpr:
-    ctx = ctx_new(2)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    tank = op_coeff(ctx, trig(ctx, "tan_k"))
-    seck = op_coeff(ctx, trig(ctx, "sec_k"))
-    tan0 = op_coeff(ctx, trig(ctx, "tan_shift", 0))
-    cot0 = op_coeff(ctx, trig(ctx, "cot_shift", 0))
-    a_part = ((tank + seck) * op_R(ctx, 2) + tank - seck) * op_R(ctx, 1)
-    b_part = tan0 * op_R(ctx, 2) - cot0
-    return (op_dphi(ctx) + a * a_part * op_I(ctx) + b * b_part * op_I(ctx))
-
-
-def explicit_k2_counterterm() -> OpExpr:
-    ctx = ctx_new(2)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    quad = a * a + b * b + 2 * a * b * op_R(ctx)
-    return 2 * quad * (op_one(ctx) + op_R(ctx, 2))
-
-
-def explicit_k2_Dphi_squared() -> OpExpr:
-    ctx = ctx_new(2)
-    a = op_coeff(ctx, Coefficient.monomial(ctx, a=1))
-    b = op_coeff(ctx, Coefficient.monomial(ctx, b=1))
-    hd = op_coeff(ctx, trig(ctx, "half_diff_inv2"))
-    hs = op_coeff(ctx, trig(ctx, "half_sum_inv2"))
-    sec2_phi = op_coeff(ctx, trig(ctx, "csc2_shift", 1))  # 1/cos^2(phi)
-    csc2_phi = op_coeff(ctx, trig(ctx, "csc2_shift", 0))
-    total = op_dphi(ctx) * op_dphi(ctx)
-    total = total - 2 * (hd * a * (a - op_R(ctx, 3) * op_I(ctx))
-                         + hs * a * (a - op_R(ctx, 1) * op_I(ctx)))
-    total = total - (sec2_phi * b * (b - op_R(ctx, 2) * op_I(ctx))
-                     + csc2_phi * b * (b - op_I(ctx)))
-    return total + explicit_k2_counterterm()
 
 
 # -- registries ---------------------------------------------------------------------

@@ -13,15 +13,11 @@ from fractions import Fraction
 import pytest
 
 from dunklops.builders import (build_counterterm, build_Dphi,
-                               build_Dphi_squared_expanded, build_Dr,
-                               explicit_k2_counterterm, explicit_k2_Dphi,
-                               explicit_k2_Dphi_squared, explicit_k2_Dr,
-                               explicit_k3_counterterm, explicit_k3_Dphi,
-                               explicit_k3_Dphi_squared, explicit_k3_Dr)
+                               build_Dphi_squared_expanded, build_Dr)
 from dunklops.coeffring import ZRat, trig
 from dunklops.cyclofield import CycloScalar, FieldCtx, ctx_new
 from dunklops.exprparse import parse_op, pretty
-from dunklops.identities import iter_rows, operator_set, run_suite
+from dunklops.identities import _EXPLICIT, iter_rows, operator_set, run_suite
 from dunklops.opalgebra import (op_I, op_R, op_coeff, op_dphi, op_dr,
                                 op_param, op_r, op_zero)
 from dunklops.oracle import DEFAULT_SEED, numeric_check, numeric_check_spec
@@ -127,24 +123,45 @@ def test_criterion_4_mutations_flip_their_targets():
                 assert flipped >= 1, (mutation, cid)
 
 
+# The operator-key order each text of identities._EXPLICIT parses to, as
+# the generator part dr^p*dphi^q*R^n*I^e of each key ("1" for none).  The
+# builders interleave the a- and b-summands' rotations; the texts group
+# them, and the oracle sums the parsed terms in this order.
+_EXPLICIT_KEY_ORDER = {
+    (3, "Dr"): "dr R*I R^3*I R^5*I I R^2*I R^4*I",
+    (3, "Dphi"): "dphi R^3*I R^5*I R*I I R^2*I R^4*I",
+    (3, "counterterm"): "1 R^2 R^4 R R^3 R^5",
+    (3, "Dphi2"): "dphi^2 1 R^3*I R^5*I R*I I R^2*I R^4*I R^2 R^4 R R^3 R^5",
+    (2, "Dr"): "dr R*I R^3*I I R^2*I",
+    (2, "Dphi"): "dphi R^3*I R*I R^2*I I",
+    (2, "counterterm"): "1 R^2 R R^3",
+    (2, "Dphi2"): "dphi^2 1 R^3*I R*I R^2*I I R^2 R R^3",
+}
+
+
+def _generators(key) -> str:
+    return "*".join(name if n == 1 else f"{name}^{n}"
+                    for name, n in zip(("dr", "dphi", "R", "I"), key)
+                    if n) or "1"
+
+
 def test_criterion_5_low_k_explicit_forms_reproduced():
     with criterion(5, "general-k builders reproduce the k=3 and k=2"
                       " operators term for term"):
-        pairs = [
-            (build_Dr(3), explicit_k3_Dr()),
-            (build_Dphi(3), explicit_k3_Dphi()),
-            (build_counterterm(3), explicit_k3_counterterm()),
-            (build_Dphi_squared_expanded(3), explicit_k3_Dphi_squared()),
-            (build_Dr(2), explicit_k2_Dr()),
-            (build_Dphi(2), explicit_k2_Dphi()),
-            (build_counterterm(2), explicit_k2_counterterm()),
-            (build_Dphi_squared_expanded(2), explicit_k2_Dphi_squared()),
-        ]
-        for built, explicit in pairs:
-            assert sorted(built.terms) == sorted(explicit.terms)
+        general = {"Dr": build_Dr, "Dphi": build_Dphi,
+                   "counterterm": build_counterterm,
+                   "Dphi2": build_Dphi_squared_expanded}
+        assert set(_EXPLICIT) == set(_EXPLICIT_KEY_ORDER)
+        for (k, attr), text in _EXPLICIT.items():
+            built = general[attr](k)
+            explicit = parse_op(text, ctx_new(k))
+            assert sorted(built.terms) == sorted(explicit.terms), (k, attr)
             for key, coeff in built.terms.items():
-                assert coeff == explicit.terms[key], key
+                assert coeff == explicit.terms[key], (k, attr, key)
+                assert list(coeff.terms) == list(explicit.terms[key].terms)
             assert built == explicit
+            assert " ".join(map(_generators, explicit.terms)) \
+                == _EXPLICIT_KEY_ORDER[k, attr], (k, attr)
 
 
 def _operator_pool(ctx, rng):

@@ -1,4 +1,4 @@
-"""Builders: general-k constructors against explicit low-k forms."""
+"""Builders: the general-k constructors, their mutations and registries."""
 
 import pytest
 
@@ -6,11 +6,7 @@ from dunklops.builders import (MUTATIONS, OPERATORS, build_counterterm,
                                build_Dphi, build_Dphi_squared_expanded,
                                build_Dr, build_extended_Hk, build_Hk,
                                build_reflection_tail, build_S,
-                               build_Xk, explicit_k2_counterterm,
-                               explicit_k2_Dphi, explicit_k2_Dphi_squared,
-                               explicit_k2_Dr, explicit_k3_counterterm,
-                               explicit_k3_Dphi, explicit_k3_Dphi_squared,
-                               explicit_k3_Dr)
+                               build_Xk)
 from dunklops.coeffring import Coefficient, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
@@ -20,32 +16,6 @@ from dunklops.opalgebra import (OpExpr, op_I, op_R, op_coeff, op_dphi, op_dr,
 
 def one_term(ctx, key, coeff):
     return OpExpr(ctx, {key: coeff} if coeff else {})
-
-
-def assert_term_for_term(built, explicit):
-    """Same keys, and the same coefficient at every key."""
-    b = dict(built.items())
-    e = dict(explicit.items())
-    assert sorted(b) == sorted(e)
-    for key in b:
-        assert b[key] == e[key], key
-    assert built == explicit
-
-
-def test_k3_operators_match_explicit_forms():
-    assert_term_for_term(build_Dr(3), explicit_k3_Dr())
-    assert_term_for_term(build_Dphi(3), explicit_k3_Dphi())
-    assert_term_for_term(build_counterterm(3), explicit_k3_counterterm())
-    assert_term_for_term(build_Dphi_squared_expanded(3),
-                         explicit_k3_Dphi_squared())
-
-
-def test_k2_operators_match_explicit_forms():
-    assert_term_for_term(build_Dr(2), explicit_k2_Dr())
-    assert_term_for_term(build_Dphi(2), explicit_k2_Dphi())
-    assert_term_for_term(build_counterterm(2), explicit_k2_counterterm())
-    assert_term_for_term(build_Dphi_squared_expanded(2),
-                         explicit_k2_Dphi_squared())
 
 
 def test_angular_square_closed_form_is_the_square():
