@@ -16,8 +16,9 @@ Layers, bottom to top:
 - ``opalgebra``: normal-ordered operator expressions and their product,
   adjoint, and identity-representation projection.
 - ``builders``: the named operators (Dr, Dphi, Hk, Xk, the invariant
-  extension, the group-algebra counterterm) for any k, plus the names of
-  two seeded defects for fail-path testing.
+  extension, the group-algebra counterterm) for any k, the one shared set
+  of them per k, plus the names of two seeded defects for fail-path
+  testing.
 - ``identities``: the check registry, run row by row into exact residual
   reports.
 - ``oracle``: the analytic-on-test-functions numeric second witness; it is
@@ -35,9 +36,8 @@ from .opalgebra import (OpExpr, commutator, op_I, op_R, op_coeff, op_dphi,
                         op_dr, op_one, op_param, op_product, op_r, op_sum,
                         op_zero)
 from .builders import (MUTATIONS, OPERATORS, build_counterterm, build_Dphi,
-                       build_Dphi_squared_expanded, build_Dr,
-                       build_extended_Hk, build_Hk, build_reflection_tail,
-                       build_S, build_Xk)
+                       build_Dphi_squared_expanded, build_Dr, build_Hk,
+                       build_reflection_tail, build_S, build_Xk)
 from .identities import (CHECK_IDS, DEFAULT_CHECK_IDS, DEFAULT_SEED,
                          CheckReport, applicable, run_check, run_suite,
                          shadow_reports)
@@ -69,8 +69,8 @@ __all__ = [
     "OpExpr", "commutator", "op_I", "op_R", "op_coeff", "op_dphi", "op_dr",
     "op_one", "op_param", "op_product", "op_r", "op_sum", "op_zero",
     "MUTATIONS", "OPERATORS", "build_counterterm", "build_Dphi",
-    "build_Dphi_squared_expanded", "build_Dr", "build_extended_Hk",
-    "build_Hk", "build_reflection_tail", "build_S", "build_Xk",
+    "build_Dphi_squared_expanded", "build_Dr", "build_Hk",
+    "build_reflection_tail", "build_S", "build_Xk",
     "CHECK_IDS", "DEFAULT_CHECK_IDS", "CheckReport", "applicable",
     "run_check", "run_suite", "shadow_reports",
     "DEFAULT_SEED", "OracleReport", "numeric_check", "numeric_check_spec",

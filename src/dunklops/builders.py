@@ -8,12 +8,14 @@ Every operator the verification suite talks about is built here, for any
                   even k uses tan/sec of k*phi spread over S = sum_i R^{4i}
     build_Hk      the scalar Hamiltonian with sec^2/csc^2 potential
     build_Xk      its angular part (the separation constant operator)
-    build_extended_Hk   the group-invariant extension, in either of its two
-                  equivalent forms ("via_Dphi" / "via_Dr")
     OperatorSet   all of these for one (k, mutation), built lazily and cached;
-                  its ``hk_ext`` states both forms of the extension once, as
-                  weighted chains (an ``Assembly``) that the exact side sums
-                  and the oracle applies
+                  its ``hk_ext`` states both forms of the group-invariant
+                  extension once, as weighted chains (an ``Assembly``) that
+                  the exact side sums (members HkExtPhi, HkExtDr) and the
+                  oracle applies
+    operator_set  the one shared OperatorSet of each (k, mutation)
+    OPERATORS     the named-operator registry: each name returns its member
+                  of ``operator_set(ctx.k)`` itself
 
 Builders accept either a FieldCtx or a bare integer k.  ``MUTATIONS`` names
 two single-coefficient defects for fail-path testing of the verification
@@ -37,9 +39,9 @@ from .opalgebra import (OpExpr, deposit, deposit_product, op_I, op_R,
 
 __all__ = [
     "build_S", "build_Dr", "build_Dphi",
-    "build_Hk", "build_Xk", "build_extended_Hk", "build_counterterm",
+    "build_Hk", "build_Xk", "build_counterterm",
     "build_reflection_tail", "build_Dphi_squared_expanded",
-    "OPERATORS", "MUTATIONS", "OperatorSet", "Assembly",
+    "OPERATORS", "MUTATIONS", "OperatorSet", "Assembly", "operator_set",
 ]
 
 
@@ -206,14 +208,6 @@ def build_Dphi_squared_expanded(k) -> OpExpr:
     return settle(ctx, deposit(acc, build_counterterm(ctx)))
 
 
-def build_extended_Hk(k, form: str = "via_Dphi",
-                      mutation: str | None = None) -> OpExpr:
-    """The invariant extension, assembled from either defining expression
-    as ``OperatorSet.hk_ext`` states it."""
-    ops = OperatorSet(_as_ctx(k), mutation)
-    return ops.assemble(ops.hk_ext(form))
-
-
 # -- the shared operator set -----------------------------------------------------
 
 
@@ -237,7 +231,7 @@ class Assembly:
 class OperatorSet:
     """All operators a suite run needs for one (k, mutation), built lazily
     and shared across checks (the angular square is the expensive one) and,
-    unmutated, with the CLI's named operators."""
+    unmutated, with the named operators of OPERATORS and the grammar."""
 
     def __init__(self, ctx: FieldCtx, mutation: str | None = None):
         _check_mutation(mutation)
@@ -374,19 +368,28 @@ class OperatorSet:
         }))
 
 
-# -- registries ---------------------------------------------------------------------
+# -- shared sets and registries -----------------------------------------------
 
 
+_OPSETS: dict = {}
+
+
+def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
+    """The OperatorSet of (k, mutation), made on first use and shared by the
+    suite, the registry and the grammar from then on."""
+    key = (k, mutation)
+    ops = _OPSETS.get(key)
+    if ops is None:
+        ops = OperatorSet(ctx_new(k), mutation)
+        _OPSETS[key] = ops
+    return ops
+
+
+# name -> its member of operator_set(ctx.k), built once per k
 OPERATORS = {
-    "R": op_R,
-    "I": op_I,
-    "S": build_S,
-    "Dr": build_Dr,
-    "Dphi": build_Dphi,
-    "Hk": build_Hk,
-    "Xk": build_Xk,
-    "HkExt": lambda ctx: build_extended_Hk(ctx, "via_Dphi"),
-    "HkExtViaDr": lambda ctx: build_extended_Hk(ctx, "via_Dr"),
-}
+    name: lambda ctx, attr=attr: getattr(operator_set(ctx.k), attr)
+    for name, attr in [("R", "R"), ("I", "I"), ("S", "S"), ("Dr", "Dr"),
+                       ("Dphi", "Dphi"), ("Hk", "Hk"), ("Xk", "Xk"),
+                       ("HkExt", "HkExtPhi"), ("HkExtViaDr", "HkExtDr")]}
 
 MUTATIONS = ("b-shift", "dr-drop")

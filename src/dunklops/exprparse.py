@@ -29,7 +29,7 @@ error too.  Syntax and elaboration errors carry the offending position.
 ``pretty`` emits canonically ordered text that re-parses to an equal
 OpExpr; it never uses the trig sugar, only exact z-rational coefficients.
 
->>> from dunklops.builders import build_Dr, build_Dphi
+>>> from dunklops.builders import build_Dr, build_Dphi, build_S
 >>> ctx = ctx_new(3)
 >>> elaborate(parse("dr - r^-1*(a*R + b)*(1 + R^2 + R^4)*I"), ctx) == build_Dr(3)
 True
@@ -48,7 +48,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .builders import build_S
+from .builders import operator_set
 from .coeffring import ATOM_Z, Coefficient, ZRat, trig
 from .cyclofield import FieldCtx, ctx_new
 from .errors import CoeffError, ParseError
@@ -63,7 +63,7 @@ _TRIG_SUGAR = {
     "sec2": "sec2_shift", "csc2": "csc2_shift",
     "seck": "sec_k", "tank": "tan_k",
 }
-# name -> constructor of ctx; build_S is looked up per call, so a patch runs
+# name -> constructor of ctx; S is the shared member of operator_set(k)
 _NAMES = {
     "a": lambda ctx: op_param(ctx, "a"),
     "b": lambda ctx: op_param(ctx, "b"),
@@ -73,7 +73,7 @@ _NAMES = {
     "zeta": lambda ctx: op_coeff(ctx, ctx.root_power(1)),
     "i": lambda ctx: op_coeff(ctx, ctx.imag_unit()),
     "dr": op_dr, "dphi": op_dphi, "R": op_R, "I": op_I,
-    "S": lambda ctx: build_S(ctx),
+    "S": lambda ctx: operator_set(ctx.k).S,
 }
 _KEYWORDS = set(_NAMES) | set(_TRIG_SUGAR) | {"phi", "pi", "k"}
 

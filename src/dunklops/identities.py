@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 # build_Dphi is not called here: perfbench's tracer patches the builders
 # imported by value into this module, and its self-test reads this one.
-from .builders import Assembly, OperatorSet, build_Dphi
+from .builders import Assembly, OperatorSet, build_Dphi, operator_set
 from .coeffring import trig
 from .cyclofield import ctx_new
 from .errors import AlgebraError
@@ -62,22 +62,6 @@ class CheckReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return self._asdict()
-
-
-# ---------------------------------------------------------------------------
-# shared operator cache
-# ---------------------------------------------------------------------------
-
-_OPSETS: dict = {}
-
-
-def operator_set(k: int, mutation: str | None = None) -> OperatorSet:
-    key = (k, mutation)
-    ops = _OPSETS.get(key)
-    if ops is None:
-        ops = OperatorSet(ctx_new(k), mutation)
-        _OPSETS[key] = ops
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +450,8 @@ def shadow_reports(check_id: str, k: int, mutation: str | None = None,
     run through the oracle on ``trials`` random samples.  The report ids are
     prefixed "oracle:"; ``residual_term_count`` carries the number of trials
     whose relative deviation exceeded ``tol``."""
-    from .oracle import numeric_check_spec      # loads numpy
+    from .oracle import _check_run, numeric_check_spec     # loads numpy
+    _check_run(trials, tol)             # also when no row applies at k
     if seed is None:
         seed = DEFAULT_SEED
     reports = []

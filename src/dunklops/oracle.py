@@ -440,9 +440,10 @@ def _check_run(trials: int, tol: float) -> None:
         raise OracleError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise OracleError(f"trials must be at most {MAX_TRIALS}")
-    # no deviation exceeds a NaN or infinite tolerance, so every run passes
-    if not math.isfinite(tol):
-        raise OracleError(f"tol must be finite, got {tol!r}")
+    # no deviation exceeds a NaN or infinite tolerance, so every run would
+    # pass, and every one exceeds a tolerance <= 0, so every run would fail
+    if not (math.isfinite(tol) and tol > 0):
+        raise OracleError(f"tol must be finite and positive, got {tol!r}")
 
 
 def numeric_check(lhs: OpExpr, rhs: OpExpr, trials: int = 100,

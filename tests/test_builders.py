@@ -2,11 +2,11 @@
 
 import pytest
 
-from dunklops.builders import (MUTATIONS, OPERATORS, build_counterterm,
-                               build_Dphi, build_Dphi_squared_expanded,
-                               build_Dr, build_extended_Hk, build_Hk,
-                               build_reflection_tail, build_S,
-                               build_Xk)
+from dunklops.builders import (MUTATIONS, OPERATORS, OperatorSet,
+                               build_counterterm, build_Dphi,
+                               build_Dphi_squared_expanded, build_Dr,
+                               build_Hk, build_reflection_tail, build_S,
+                               build_Xk, operator_set)
 from dunklops.coeffring import Coefficient, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import AlgebraError, FieldError
@@ -79,7 +79,7 @@ def test_angular_reference_operator_even_only():
 
 def test_extension_rejects_an_unknown_form():
     with pytest.raises(AlgebraError):
-        build_extended_Hk(2, "sideways")
+        OperatorSet(ctx_new(2)).hk_ext("sideways")
 
 
 @pytest.mark.parametrize("mutation", [None, "b-shift", "dr-drop"])
@@ -95,13 +95,13 @@ def test_extension_keeps_the_chained_term_order(mutation):
         radial = -op_dr(ctx) * op_dr(ctx) - inv_r * op_dr(ctx)
         bracket = op_one(ctx) + 2 * build_reflection_tail(ctx)
         chained = {
-            "via_Dphi": radial - inv_r2 * (dphi2 - build_counterterm(ctx))
+            "HkExtPhi": radial - inv_r2 * (dphi2 - build_counterterm(ctx))
             + osc,
-            "via_Dr": -(dr * dr) - inv_r * (bracket * dr) - inv_r2 * dphi2
+            "HkExtDr": -(dr * dr) - inv_r * (bracket * dr) - inv_r2 * dphi2
             + osc,
         }
-        for form, want in chained.items():
-            got = build_extended_Hk(ctx, form, mutation)
+        for member, want in chained.items():
+            got = getattr(OperatorSet(ctx, mutation), member)
             assert got == want
             assert list(got.terms) == list(want.terms)
             for key, c in got.terms.items():
@@ -121,7 +121,7 @@ def test_unknown_mutation_rejected():
     with pytest.raises(AlgebraError):
         build_Dr(3, mutation="oops")
     with pytest.raises(AlgebraError):
-        build_extended_Hk(3, mutation="oops")
+        operator_set(3, "oops")
 
 
 def test_mutation_registry_metadata():
@@ -151,14 +151,15 @@ def test_dr_drop_removes_last_rotation_pair():
 
 
 def test_operator_registry_names_and_values():
-    assert set(OPERATORS) == {"R", "I", "S", "Dr", "Dphi", "Hk", "Xk",
-                              "HkExt", "HkExtViaDr"}
+    assert list(OPERATORS) == ["R", "I", "S", "Dr", "Dphi", "Hk", "Xk",
+                               "HkExt", "HkExtViaDr"]
     ctx = ctx_new(4)
+    fresh = OperatorSet(ctx)
     assert OPERATORS["R"](ctx) == op_R(ctx)
     assert OPERATORS["I"](ctx) == op_I(ctx)
     assert OPERATORS["S"](ctx) == build_S(4)
     assert OPERATORS["Dr"](ctx) == build_Dr(4)
-    assert OPERATORS["HkExt"](ctx) == build_extended_Hk(4, "via_Dphi")
-    assert OPERATORS["HkExtViaDr"](ctx) == build_extended_Hk(4, "via_Dr")
+    assert OPERATORS["HkExt"](ctx) == fresh.HkExtPhi
+    assert OPERATORS["HkExtViaDr"](ctx) == fresh.HkExtDr
     with pytest.raises(AlgebraError):
         OPERATORS["S"](ctx_new(3))

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklops import cli, identities
-from dunklops.builders import OPERATORS, build_Dphi
+from dunklops import builders, cli, identities
+from dunklops.builders import OPERATORS, OperatorSet, build_Dphi
 from dunklops.cli import _resolve, main, parse_k_list
 from dunklops.cyclofield import ctx_new
 from dunklops.identities import MAX_TRIALS
@@ -303,11 +303,12 @@ def _names(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_named_operators_print_as_built_from_scratch(capsys, k):
-    assert set(_SHARED) == set(OPERATORS)
+    assert list(_SHARED) == list(OPERATORS)
     ctx = ctx_new(k)
-    dr = OPERATORS["Dr"](ctx)
+    fresh = OperatorSet(ctx)
+    dr = fresh.Dr
     for name in _names(k):
-        op = OPERATORS[name](ctx)
+        op = getattr(fresh, _SHARED[name])
         expected = {("norm",): pretty(op), ("adjoint",): pretty(op.adjoint()),
                     ("project",): pretty(op.project_identity()),
                     ("commute", "Dr"): pretty(commutator(op, dr))}
@@ -333,6 +334,27 @@ def test_resolve_returns_the_operator_set_members():
             assert first is getattr(ops, _SHARED[name])
 
 
+def test_registry_serves_the_shared_members(monkeypatch):
+    """Each registry value returns its member of operator_set(k) itself;
+    once the set exists, no call makes another OperatorSet."""
+    sets = {k: identities.operator_set(k) for k in (1, 2, 3, 4)}
+    made = []
+    init = OperatorSet.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorSet, "__init__", counted)
+    for k, ops in sets.items():
+        ctx = ctx_new(k)
+        for _ in range(2):
+            for name in _names(k):
+                assert OPERATORS[name](ctx) is getattr(ops, _SHARED[name]), \
+                    (k, name)
+    assert made == []
+
+
 def test_repeated_requests_print_the_same_text(capsys):
     requests = [(cmd, "--k", str(k), name, *rest)
                 for k in (2, 3) for name in _names(k)
@@ -345,7 +367,7 @@ def test_repeated_requests_print_the_same_text(capsys):
 
 
 def test_operator_sets_one_per_k_and_mutation(capsys, monkeypatch):
-    monkeypatch.setattr(identities, "_OPSETS", {})
+    monkeypatch.setattr(builders, "_OPSETS", {})
     for _ in range(3):
         for k in (1, 2, 3):
             for name in _names(k):
@@ -355,7 +377,7 @@ def test_operator_sets_one_per_k_and_mutation(capsys, monkeypatch):
                            "Dphi")[0] == 0
         assert run_cli(capsys, "verify", "--k", "3", "--mutate", "b-shift",
                        "--suite", "dphi_props")[0] == 1
-    assert sorted(identities._OPSETS, key=str) == [
+    assert sorted(builders._OPSETS, key=str) == [
         (1, None), (2, None), (3, "b-shift"), (3, None)]
 
 

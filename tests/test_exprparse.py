@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from dunklops.builders import (OPERATORS, build_Dphi, build_Dr,
-                               build_extended_Hk, build_Hk, build_S, build_Xk,
-                               build_counterterm)
+from dunklops.builders import (build_Dphi, build_Dr, build_Hk, build_S,
+                               build_Xk, build_counterterm, operator_set)
 from dunklops.coeffring import Coefficient, ZRat, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import ParseError
@@ -204,7 +203,7 @@ def test_roundtrip_all_builders():
     for k in range(1, 7):
         ctx = ctx_new(k)
         ops = [build_Dr(k), build_Dphi(k), build_Hk(k), build_Xk(k),
-               build_counterterm(k), build_extended_Hk(k, "via_Dphi")]
+               build_counterterm(k), operator_set(k).HkExtPhi]
         if k % 2 == 0:
             ops.append(build_S(k))
         for op in ops:

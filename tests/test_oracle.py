@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dunklops import oracle
-from dunklops.builders import build_Dphi, build_Dr, build_extended_Hk
+from dunklops.builders import build_Dphi, build_Dr
 from dunklops.coeffring import ZRat, trig
 from dunklops.cyclofield import ctx_new
 from dunklops.errors import OracleError
@@ -180,7 +180,7 @@ def test_too_many_trials_are_refused_before_any_draw(monkeypatch):
                             [(1, [("tan_shift", 0)])]), 2, trials=over)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_tolerance_is_refused(tol):
     ctx = ctx_new(2)
     with pytest.raises(OracleError, match="tol must be finite"):
@@ -191,6 +191,9 @@ def test_non_finite_tolerance_is_refused(tol):
     with pytest.raises(OracleError, match="tol must be finite"):
         numeric_check_spec(("trig", [(1, [("tan_shift", 0)])],
                             [(1, [("cot_shift", 0)])]), 2, tol=tol)
+    for cid, k in (("dr_props", 2), ("trig_tan_tan", 1)):  # rows, none
+        with pytest.raises(OracleError, match="tol must be finite"):
+            shadow_reports(cid, k, tol=tol)
 
 
 def test_report_is_deterministic_and_seed_sensitive():
@@ -213,8 +216,7 @@ def test_trig_sum_rows_pass_at_k5():
 
 
 def test_two_extension_forms_agree_numerically_k4():
-    lhs = build_extended_Hk(4, "via_Dphi")
-    rhs = build_extended_Hk(4, "via_Dr")
+    lhs, rhs = operator_set(4).HkExtPhi, operator_set(4).HkExtDr
     rep = numeric_check(lhs, rhs, trials=50, tol=1e-8)
     assert rep.status == "pass"
     assert rep.max_rel_dev < 1e-8
@@ -384,8 +386,7 @@ def test_ring_defects_do_not_reach_the_oracle(monkeypatch):
 
 def test_oracle_does_no_ring_arithmetic(monkeypatch):
     k = 4
-    lhs = build_extended_Hk(k, "via_Dphi")
-    rhs = build_extended_Hk(k, "via_Dr")
+    lhs, rhs = operator_set(k).HkExtPhi, operator_set(k).HkExtDr
     dphi = build_Dphi(k)
     spec = ("ops", [(1, [lhs, dphi, dphi]), (-1, [dphi, dphi, rhs])], [])
     batch = draw(4, 5, k, [dphi, lhs])

@@ -1,6 +1,6 @@
-"""The package's public surface: its exports, the README's examples, the
-one module boundary its sources keep, and that its sources use every public
-function and method they define."""
+"""The package's public surface: its exports, the README's examples and
+command transcripts, the one module boundary its sources keep, and that its
+sources use every public function and method they define."""
 
 import ast
 import doctest
@@ -8,6 +8,7 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
@@ -53,6 +54,37 @@ def test_readme_pycon_blocks_run_in_order():
         namespace = test.globs           # a DocTest runs in a copy
     assert runner.failures == 0, "".join(report)
     assert runner.tries == sum(b.count(">>> ") for b in blocks)
+
+
+def _readme_transcripts() -> list:
+    """(argv, output) of each ``$ dunklops`` line in a ``text`` block of
+    the README whose output, the lines up to the next command or blank
+    line, is shown in full: not elided with ``...`` and not left out."""
+    out = []
+    for block in re.findall(r"^```text\n(.*?)^```$", README.read_text(),
+                            re.M | re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ dunklops "):
+                continue
+            shown = []
+            for text in lines[i + 1:]:
+                if not text or text.startswith("$ "):
+                    break
+                shown.append(text)
+            if shown and not any("..." in text for text in shown):
+                argv = shlex.split(line[2:], comments=True)[1:]
+                out.append((argv, "\n".join(shown) + "\n"))
+    return out
+
+
+def test_readme_cli_transcripts_print_what_they_show(capsys):
+    from dunklops.cli import main
+    transcripts = _readme_transcripts()
+    assert len(transcripts) >= 4
+    for argv, shown in transcripts:
+        main(argv)
+        assert capsys.readouterr().out == shown, argv
 
 
 def test_only_opalgebra_imports_private_names_from_coeffring():
